@@ -3,9 +3,24 @@
 A population is a single uint8 array of shape ``(n_pop, n_slots,
 n_components, depth)`` so fitness evaluation vectorizes across all
 candidates.  Randomness comes from four named PCG64 streams derived from the
-run seed (population init, parent selection, crossover cut points, mutation);
-within a generation the draws happen in that fixed order, which makes every
-run a pure function of (config, task, seed).
+run seed (population init, parent selection, crossover cut points, mutation),
+which makes every run a pure function of (config, task, seed).
+
+Draw contract, so that ports can match run for run.  The init stream makes
+one draw per run (see ``run``).  A generation with ``P = ceil((n_pop -
+elitism) / 2)`` pairs, ``S`` slots, ``C`` components and depth ``L`` draws:
+
+* selection: one double per rank draw, pair by pair: the first parent's
+  rank, then the second's, redrawn until it differs from the first.  A
+  double ``u`` maps to rank ``min(searchsorted(cumsum(p), u, "right"),
+  n_pop - 1)`` over ``p = selection_probabilities(n_pop)``;
+* crossover: one ``integers(0, L*(L+1)/2, size=(P, S, C))`` call; value
+  ``k`` picks the k-th cut pair ``1 <= s <= e <= L`` in lexicographic order,
+  and genes ``s..e`` of that chromosome swap between the two parents;
+* mutation: one ``random((P, 2, S, C, L))`` call, a gene flipping where its
+  double is below the rate, and none at all when the rate is 0.  When
+  ``n_pop - elitism`` is odd the last pair's kid b is discarded after its
+  flips are drawn.
 """
 
 from __future__ import annotations
@@ -25,19 +40,15 @@ __all__ = [
     "Population",
     "RngStreams",
     "RunRecord",
-    "crossover",
     "evaluate",
     "fitness_fluctuation",
-    "mutate",
     "next_generation",
     "run",
-    "select_pair",
+    "select_parents",
     "selection_probabilities",
 ]
 
 STREAM_LABELS = ("init", "selection", "crossover", "mutation")
-
-CROSSOVER_MODES = ("two-point-segment",)
 
 TERMINATED_CONVERGED = "converged"
 TERMINATED_CAP = "generation-cap"
@@ -72,7 +83,6 @@ class GAConfig:
     codec: CodecConfig
     n_slots: int
     mutation_rate: float = 0.0
-    crossover_mode: str = "two-point-segment"
     elitism: int = 0
     max_generations: int = 500
 
@@ -85,8 +95,6 @@ class GAConfig:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation rate must be in [0, 1], got {self.mutation_rate}")
-        if self.crossover_mode not in CROSSOVER_MODES:
-            raise ValueError(f"unknown crossover mode {self.crossover_mode!r}")
         if not 0 <= self.elitism <= self.n_pop:
             raise ValueError(f"elitism must be in [0, n_pop], got {self.elitism}")
         if self.max_generations < 1:
@@ -142,11 +150,12 @@ class RunRecord:
     epsilon_opt: float
 
 
+@lru_cache(maxsize=None)
 def selection_probabilities(n_pop: int) -> np.ndarray:
     """Rank-selection distribution: weight n_pop**(-(n-1)/(n_pop-1)) for rank n.
 
     Strictly decreasing, normalized to one, and the worst rank's probability
-    is exactly the best rank's divided by ``n_pop``.
+    is exactly the best rank's divided by ``n_pop``.  Cached and read-only.
     """
     if n_pop < 2:
         raise ValueError(f"rank selection needs n_pop >= 2, got {n_pop}")
@@ -154,27 +163,8 @@ def selection_probabilities(n_pop: int) -> np.ndarray:
     w = float(n_pop) ** (-ranks / (n_pop - 1))
     p = w / w.sum()
     p[-1] = p[0] / n_pop  # pin the exact tail identity against libm rounding
+    p.flags.writeable = False
     return p
-
-
-def _draw_rank(cum: np.ndarray, rng: np.random.Generator) -> int:
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, len(cum) - 1)
-
-
-def select_pair(pop: Population, probs: np.ndarray, rng: np.random.Generator):
-    """Two distinct ranks drawn from the selection distribution.
-
-    The second rank is redrawn until it differs from the first.
-    """
-    if len(probs) != pop.size:
-        raise ValueError(f"probability table size {len(probs)} != population {pop.size}")
-    cum = np.cumsum(probs)
-    first = _draw_rank(cum, rng)
-    second = _draw_rank(cum, rng)
-    while second == first:
-        second = _draw_rank(cum, rng)
-    return first, second
 
 
 @lru_cache(maxsize=None)
@@ -191,35 +181,28 @@ def _segment_masks(depth: int) -> np.ndarray:
     return table
 
 
-def crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
-    """Exchange one uniformly chosen contiguous gene segment per chromosome.
+def select_parents(probs: np.ndarray, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """Ranks of ``n_pairs`` parent pairs, shape ``(n_pairs, 2)``.
 
-    Every chromosome position in the genome gets its own cut pair, drawn
-    uniformly over the ``L(L+1)/2`` ordered pairs.  Returns two offspring;
-    the multiset of genes at each position is conserved across the pair.
+    Each pair is a first rank and a second rank redrawn until it differs
+    from the first, one double per rank draw.  Draws come in blocks of the
+    fewest doubles the remaining pairs still need, so the stream ends where
+    drawing the ranks one at a time would leave it.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"parent shapes do not match: {a.shape} vs {b.shape}")
-    masks = _segment_masks(a.shape[-1])
-    picks = rng.integers(0, len(masks), size=a.shape[:-1])
-    m = masks[picks]
-    return np.where(m, b, a), np.where(m, a, b)
-
-
-def mutate(g: np.ndarray, p_mut: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each gene independently with probability ``p_mut``.
-
-    A zero rate returns the genome unchanged and consumes no randomness.
-    """
-    if not 0.0 <= p_mut <= 1.0:
-        raise ValueError(f"mutation probability must be in [0, 1], got {p_mut}")
-    g = np.asarray(g)
-    if p_mut == 0.0:
-        return g
-    flips = rng.random(g.shape) < p_mut
-    return np.where(flips, 1 - g, g).astype(np.uint8)
+    cdf = np.cumsum(probs)
+    last = len(cdf) - 1
+    pairs = []
+    first = None
+    while len(pairs) < n_pairs:
+        need = 2 * (n_pairs - len(pairs)) - (first is not None)
+        ranks = np.minimum(np.searchsorted(cdf, rng.random(need), side="right"), last)
+        for rank in ranks.tolist():
+            if first is None:
+                first = rank
+            elif rank != first:
+                pairs.append((first, rank))
+                first = None
+    return np.array(pairs, dtype=np.intp).reshape(n_pairs, 2)
 
 
 def fitness_fluctuation(pop: Population) -> float:
@@ -242,23 +225,30 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
                     streams: RngStreams) -> Population:
     """Breed, score, and sort the successor population.
 
-    The top ``elitism`` individuals are copied unchanged; remaining slots are
-    filled pair by pair (select two distinct parents, exchange segments,
-    mutate both) with any excess offspring discarded.
+    The top ``elitism`` individuals are copied unchanged.  The other
+    ``n_pop - elitism`` slots are bred in one step over all pairs: select
+    two distinct parents per pair, swap one uniformly chosen contiguous gene
+    segment per chromosome (so each pair yields kids a and b that conserve
+    the parents' genes position by position), flip each gene with
+    probability ``mutation_rate``.  Children go pair-major, kid a before
+    kid b; an odd count discards the last kid b.  The module docstring
+    gives the draws.
     """
     if not pop.evaluated:
         raise ValueError("population must be evaluated before breeding")
-    probs = selection_probabilities(cfg.n_pop)
-    children = [pop.genomes[i] for i in range(cfg.elitism)]
-    while len(children) < cfg.n_pop:
-        first, second = select_pair(pop, probs, streams.selection)
-        kid_a, kid_b = crossover(pop.genomes[first], pop.genomes[second], streams.crossover)
-        kid_a = mutate(kid_a, cfg.mutation_rate, streams.mutation)
-        kid_b = mutate(kid_b, cfg.mutation_rate, streams.mutation)
-        children.append(kid_a)
-        if len(children) < cfg.n_pop:
-            children.append(kid_b)
-    return evaluate(Population(np.stack(children)), task, cfg.codec)
+    n_bred = cfg.n_pop - cfg.elitism
+    n_pairs = (n_bred + 1) // 2
+    parents = select_parents(selection_probabilities(cfg.n_pop), n_pairs, streams.selection)
+    masks = _segment_masks(cfg.codec.depth)
+    picks = streams.crossover.integers(0, len(masks), size=(n_pairs, *pop.genomes.shape[1:-1]))
+    kids = pop.genomes[parents]  # (n_pairs, 2, slots, components, depth)
+    # swapping a segment flips both kids wherever the parents differ inside it
+    kids ^= ((kids[:, 0] ^ kids[:, 1]) & masks[picks])[:, None]
+    if cfg.mutation_rate > 0:
+        kids ^= streams.mutation.random(kids.shape) < cfg.mutation_rate
+    kids = kids.reshape(2 * n_pairs, *pop.genomes.shape[1:])[:n_bred]
+    genomes = np.concatenate([pop.genomes[: cfg.elitism], kids])
+    return evaluate(Population(genomes), task, cfg.codec)
 
 
 def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:

@@ -173,18 +173,11 @@ def test_criterion_5_selection_law():
             p = ga.selection_probabilities(n)
             assert p[-1] == p[0] / n, f"identity broken at n={n}"
 
-        class _Pop:
-            def __init__(self, n):
-                self.size = n
-
         for n in (10, 100):
             probs = ga.selection_probabilities(n)
             rng = np.random.default_rng(123)
-            pop = _Pop(n)
             draws = 100_000
-            counts = np.zeros(n, dtype=np.int64)
-            for _ in range(draws):
-                counts[ga.select_pair(pop, probs, rng)[0]] += 1
+            counts = np.bincount(ga.select_parents(probs, draws, rng)[:, 0], minlength=n)
             expected = draws * probs
             sigma = np.sqrt(draws * probs * (1.0 - probs))
             worst = np.max(np.abs(counts - expected) / sigma)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -45,71 +46,136 @@ def test_selection_probabilities_shape():
         ga.selection_probabilities(1)
 
 
-def test_select_pair_two_individuals():
-    pop = random_population(2)
+def test_select_parents_two_individuals():
     probs = ga.selection_probabilities(2)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        pair = ga.select_pair(pop, probs, rng)
+    pairs = ga.select_parents(probs, 50, np.random.default_rng(0))
+    assert pairs.shape == (50, 2)
+    for pair in pairs.tolist():
         assert set(pair) == {0, 1}
 
 
-def test_select_pair_bounds_and_distinctness():
-    pop = random_population(10)
+def test_select_parents_bounds_and_distinctness():
     probs = ga.selection_probabilities(10)
-    rng = np.random.default_rng(1)
-    for _ in range(2000):
-        a, b = ga.select_pair(pop, probs, rng)
-        assert 0 <= a < 10 and 0 <= b < 10
-        assert a != b
+    pairs = ga.select_parents(probs, 2000, np.random.default_rng(1))
+    assert np.all((pairs >= 0) & (pairs < 10))
+    assert np.all(pairs[:, 0] != pairs[:, 1])
 
 
-def test_select_pair_first_rank_frequency():
+def test_select_parents_first_rank_frequency():
     # the first parent is an unconditioned rank draw
     n = 10
-    pop = random_population(n)
     probs = ga.selection_probabilities(n)
-    rng = np.random.default_rng(123)
     draws = 100_000
-    hits = sum(ga.select_pair(pop, probs, rng)[0] == 0 for _ in range(draws))
+    hits = int(np.sum(ga.select_parents(probs, draws, np.random.default_rng(123))[:, 0] == 0))
     sigma = np.sqrt(draws * probs[0] * (1 - probs[0]))
     assert abs(hits - draws * probs[0]) <= 3 * sigma
 
 
-# ---------------------------------------------------------------- crossover
+def _reference_pairs(probs, n_pairs, rng):
+    """Parent ranks drawn one double at a time, the way the draw contract reads."""
+    cdf = np.cumsum(probs)
 
-def test_crossover_identical_parents():
-    rng = np.random.default_rng(2)
-    a = rng.integers(0, 2, size=(2, 3, 15), dtype=np.uint8)
-    c1, c2 = ga.crossover(a, a.copy(), np.random.default_rng(3))
-    assert np.array_equal(c1, a)
-    assert np.array_equal(c2, a)
+    def draw():
+        return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+
+    pairs = []
+    for _ in range(n_pairs):
+        first, second = draw(), draw()
+        while second == first:
+            second = draw()
+        pairs.append((first, second))
+    return pairs
 
 
-def test_crossover_conserves_bits_per_position():
+def _reference_generation(pop, cfg, streams):
+    """Children bred pair by pair, one call per pair and kid on each stream."""
+    masks = ga._segment_masks(cfg.codec.depth)
+    children = list(pop.genomes[: cfg.elitism])
+    n_pairs = (cfg.n_pop - cfg.elitism + 1) // 2
+    probs = ga.selection_probabilities(cfg.n_pop)
+    for first, second in _reference_pairs(probs, n_pairs, streams.selection):
+        a, b = pop.genomes[first], pop.genomes[second]
+        swap = masks[streams.crossover.integers(0, len(masks), size=a.shape[:-1])]
+        kids = [np.where(swap, b, a), np.where(swap, a, b)]
+        if cfg.mutation_rate > 0:
+            kids = [np.where(streams.mutation.random(k.shape) < cfg.mutation_rate, 1 - k, k)
+                    .astype(np.uint8) for k in kids]
+        children.extend(kids)
+    return np.stack(children[: cfg.n_pop])
+
+
+@pytest.mark.parametrize("n_pop", [2, 3, 10])
+def test_select_parents_matches_per_pair_reference(n_pop):
+    probs = ga.selection_probabilities(n_pop)
+    for n_pairs in (0, 1, 2, 5, 37):
+        rng, ref_rng = np.random.default_rng(n_pop), np.random.default_rng(n_pop)
+        for _ in range(3):
+            pairs = ga.select_parents(probs, n_pairs, rng)
+            assert pairs.tolist() == [list(p) for p in _reference_pairs(probs, n_pairs, ref_rng)]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_pop", [2, 3, 10, 11])
+@pytest.mark.parametrize("mutation_rate", [0.0, 0.01, 1.0])
+def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
+    for elitism in sorted({0, 1, n_pop - 1, n_pop}):
+        cfg = make_config(n_pop=n_pop, mutation_rate=mutation_rate, elitism=elitism)
+        pop = ga.evaluate(random_population(n_pop, seed=n_pop + elitism), TASK, CODEC)
+        streams, ref = RngStreams.from_seed(elitism), RngStreams.from_seed(elitism)
+        for _ in range(4):
+            nxt = ga.next_generation(pop, cfg, TASK, streams)
+            want = ga.evaluate(Population(_reference_generation(pop, cfg, ref)), TASK, CODEC)
+            assert np.array_equal(nxt.genomes, want.genomes)
+            assert np.array_equal(nxt.fitness, want.fitness)
+            for label in ga.STREAM_LABELS:
+                assert (getattr(streams, label).bit_generator.state
+                        == getattr(ref, label).bit_generator.state)
+            pop = nxt
+
+
+# ------------------------------------------------------- crossover, mutation
+
+def _bred(genomes, cfg, seed, monkeypatch):
+    """Children of one generation in breeding order (pair-major, kid a first)."""
+    monkeypatch.setattr(ga, "evaluate", lambda pop, task, codec: pop)
+    streams = RngStreams.from_seed(seed)
+    pairs = ga.select_parents(ga.selection_probabilities(cfg.n_pop),
+                              (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
+    nxt = ga.next_generation(Population(genomes, np.zeros(len(genomes))), cfg, TASK, streams)
+    return nxt.genomes, pairs, streams
+
+
+def test_crossover_identical_parents(monkeypatch):
+    g = np.random.default_rng(2).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
+    genomes = np.repeat(g, 7, axis=0)
+    kids, _, _ = _bred(genomes, make_config(n_pop=7), 3, monkeypatch)
+    assert np.array_equal(kids, genomes)
+
+
+def test_crossover_conserves_bits_per_position(monkeypatch):
+    codec = CodecConfig(depth=8, dim=2)
+    cfg = make_config(n_pop=100, codec=codec)
     rng = np.random.default_rng(5)
-    for _ in range(10_000):
-        a = rng.integers(0, 2, size=(2, 3, 8), dtype=np.uint8)
-        b = rng.integers(0, 2, size=(2, 3, 8), dtype=np.uint8)
-        c1, c2 = ga.crossover(a, b, rng)
-        assert np.array_equal(
-            c1.astype(np.int64) + c2.astype(np.int64),
-            a.astype(np.int64) + b.astype(np.int64),
-        )
+    for seed in range(200):  # 50 pairs each: 10,000 pairs
+        genomes = rng.integers(0, 2, size=(100, 2, 3, 8), dtype=np.uint8)
+        kids, pairs, _ = _bred(genomes, cfg, seed, monkeypatch)
+        kids = kids.astype(np.int64).reshape(50, 2, 2, 3, 8)
+        parents = genomes[pairs].astype(np.int64)
+        assert np.array_equal(kids.sum(axis=1), parents.sum(axis=1))
 
 
-def test_crossover_swaps_one_contiguous_segment():
-    # with all-zero vs all-one parents the offspring exposes the swap mask
+def test_crossover_swaps_one_contiguous_segment(monkeypatch):
+    # all-zero vs all-one parents: kid a differs from its first parent
+    # exactly on the swap mask; 1400 slots x 3 components = 4200 chromosomes
     depth = 6
-    a = np.zeros((1, 1, depth), dtype=np.uint8)
-    b = np.ones((1, 1, depth), dtype=np.uint8)
-    rng = np.random.default_rng(7)
+    cfg = make_config(n_pop=2, codec=CodecConfig(depth=depth, dim=2), n_slots=1400)
+    genomes = np.stack([np.zeros((1400, 3, depth), np.uint8), np.ones((1400, 3, depth), np.uint8)])
+    kids, pairs, _ = _bred(genomes, cfg, 7, monkeypatch)
+    masks = (kids[0] ^ genomes[pairs[0, 0]]).reshape(-1, depth)
     n_pairs = depth * (depth + 1) // 2
-    draws = 4200
+    draws = len(masks)
     counts = {}
-    for _ in range(draws):
-        c1, _ = ga.crossover(a, b, rng)
-        mask = c1[0, 0]
+    for mask in masks:
         ones = np.flatnonzero(mask)
         assert ones.size >= 1  # a cut pair always swaps something
         assert np.all(np.diff(ones) == 1)  # contiguous
@@ -123,40 +189,36 @@ def test_crossover_swaps_one_contiguous_segment():
     assert worst <= 4 * sigma
 
 
-def test_crossover_shape_mismatch():
-    with pytest.raises(ValueError):
-        ga.crossover(
-            np.zeros((1, 3, 5), dtype=np.uint8),
-            np.zeros((2, 3, 5), dtype=np.uint8),
-            np.random.default_rng(0),
-        )
-
-
-# ---------------------------------------------------------------- mutation
-
 def test_mutate_zero_rate_is_identity():
-    g = np.ones((2, 3, 15), dtype=np.uint8)
-    assert np.array_equal(ga.mutate(g, 0.0, np.random.default_rng(0)), g)
+    # a zero rate draws nothing from the mutation stream
+    cfg = make_config(n_pop=9)
+    pop = ga.evaluate(random_population(9, seed=8), TASK, CODEC)
+    streams = RngStreams.from_seed(0)
+    before = streams.mutation.bit_generator.state
+    ga.next_generation(pop, cfg, TASK, streams)
+    assert streams.mutation.bit_generator.state == before
 
 
 def test_mutate_full_rate_is_complement():
-    rng = np.random.default_rng(1)
-    g = rng.integers(0, 2, size=(2, 3, 15), dtype=np.uint8)
-    assert np.array_equal(ga.mutate(g, 1.0, np.random.default_rng(2)), 1 - g)
+    g = np.random.default_rng(1).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
+    cfg = make_config(n_pop=6, mutation_rate=1.0)
+    pop = ga.evaluate(Population(np.repeat(g, 6, axis=0)), TASK, CODEC)
+    nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
+    assert np.array_equal(nxt.genomes, np.repeat(1 - g, 6, axis=0))
 
 
-def test_mutate_flip_fraction():
-    g = np.zeros((1, 1, 1_000_000), dtype=np.uint8)
-    flipped = ga.mutate(g, 0.01, np.random.default_rng(3)).mean()
-    assert 0.008 <= flipped <= 0.012
+def test_mutate_flip_fraction(monkeypatch):
+    # 8 all-zero genomes of 2778 slots x 3 x 15 genes: 1,000,080 genes bred
+    cfg = make_config(n_pop=8, mutation_rate=0.01, n_slots=2778)
+    kids, _, _ = _bred(np.zeros((8, 2778, 3, 15), np.uint8), cfg, 3, monkeypatch)
+    assert 0.008 <= kids.mean() <= 0.012
 
 
 def test_mutate_rejects_bad_rate():
-    g = np.zeros((1, 1, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
-        ga.mutate(g, -0.1, np.random.default_rng(0))
+        make_config(mutation_rate=-0.1)
     with pytest.raises(ValueError):
-        ga.mutate(g, 1.1, np.random.default_rng(0))
+        make_config(mutation_rate=1.1)
 
 
 # ------------------------------------------------------------- fluctuation
@@ -308,5 +370,3 @@ def test_config_validation():
         make_config(elitism=25)
     with pytest.raises(ValueError):
         make_config(max_generations=0)
-    with pytest.raises(ValueError):
-        make_config(crossover_mode="uniform")
