@@ -190,12 +190,15 @@ def run_many(ga_cfg, task, seeds, workers: int):
     """Execute seeded runs, in order, optionally on a process pool.
 
     Results are merged by run index, so the outcome does not depend on the
-    worker count.
+    worker count.  The pool gets the runs in chunks of about a quarter of
+    each worker's share (``multiprocessing.Pool.map``'s rule), so a sweep of
+    short runs is not dominated by one round trip per run.
     """
     payloads = [(ga_cfg, task, s) for s in seeds]
     if workers > 1:
+        chunksize = max(1, math.ceil(len(payloads) / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_worker, payloads))
+            return list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
     return [_sweep_worker(p) for p in payloads]
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class GAConfig:
             raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Population:
     """Genome stack plus cached fitness (descending after evaluation)."""
 
@@ -116,9 +116,10 @@ class Population:
     def evaluated(self) -> bool:
         return self.fitness is not None
 
-    @property
+    @cached_property
     def mean_fitness(self) -> float:
-        return float(self.fitness.mean())
+        """``fitness.mean()``, computed once; ``fitness_fluctuation`` reuses it."""
+        return float(np.add.reduce(self.fitness) / len(self.fitness))
 
     @property
     def best_fitness(self) -> float:
@@ -181,35 +182,54 @@ def _segment_masks(depth: int) -> np.ndarray:
     return table
 
 
-def select_parents(probs: np.ndarray, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
-    """Ranks of ``n_pairs`` parent pairs, shape ``(n_pairs, 2)``.
+@lru_cache(maxsize=None)
+def _rank_bounds(n_pop: int) -> np.ndarray:
+    """``cumsum(selection_probabilities(n_pop))`` with the last entry +inf.
+
+    ``searchsorted(bounds, u, "right")`` is then the rank of a double ``u``
+    in [0, 1): the infinite last bound sends a ``u`` at or past the rounded
+    total to the last rank, as clamping to ``n_pop - 1`` would.  Cached and
+    read-only.
+    """
+    bounds = np.cumsum(selection_probabilities(n_pop))
+    bounds[-1] = np.inf
+    bounds.flags.writeable = False
+    return bounds
+
+
+def select_parents(n_pop: int, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """Ranks of ``n_pairs`` parent pairs under rank selection, shape ``(n_pairs, 2)``.
 
     Each pair is a first rank and a second rank redrawn until it differs
     from the first, one double per rank draw.  Draws come in blocks of the
     fewest doubles the remaining pairs still need, so the stream ends where
     drawing the ranks one at a time would leave it.
     """
-    cdf = np.cumsum(probs)
-    last = len(cdf) - 1
-    pairs = []
+    bounds = _rank_bounds(n_pop)
+    ranks = np.searchsorted(bounds, rng.random(2 * n_pairs), side="right")
+    block = ranks.reshape(n_pairs, 2)
+    if (block[:, 0] != block[:, 1]).all():
+        return block  # no second rank to redraw: the ranks pair up in order
+    flat = []  # ranks of the pairs made so far, first and second alternating
     first = None
-    while len(pairs) < n_pairs:
-        need = 2 * (n_pairs - len(pairs)) - (first is not None)
-        ranks = np.minimum(np.searchsorted(cdf, rng.random(need), side="right"), last)
+    while True:
         for rank in ranks.tolist():
             if first is None:
                 first = rank
             elif rank != first:
-                pairs.append((first, rank))
+                flat += (first, rank)
                 first = None
-    return np.array(pairs, dtype=np.intp).reshape(n_pairs, 2)
+        need = 2 * n_pairs - len(flat) - (first is not None)
+        if not need:
+            return np.array(flat, dtype=np.intp).reshape(n_pairs, 2)
+        ranks = np.searchsorted(bounds, rng.random(need), side="right")
 
 
 def fitness_fluctuation(pop: Population) -> float:
     """Population standard deviation of fitness (the termination statistic)."""
     f = pop.fitness
-    mean = f.mean()
-    var = float((f * f).mean() - mean * mean)
+    mean = pop.mean_fitness
+    var = float(np.add.reduce(f * f) / len(f) - mean * mean)
     return math.sqrt(max(var, 0.0))  # radicand can dip ~-1e-16 in floats
 
 
@@ -238,7 +258,7 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
         raise ValueError("population must be evaluated before breeding")
     n_bred = cfg.n_pop - cfg.elitism
     n_pairs = (n_bred + 1) // 2
-    parents = select_parents(selection_probabilities(cfg.n_pop), n_pairs, streams.selection)
+    parents = select_parents(cfg.n_pop, n_pairs, streams.selection)
     masks = _segment_masks(cfg.codec.depth)
     picks = streams.crossover.integers(0, len(masks), size=(n_pairs, *pop.genomes.shape[1:-1]))
     kids = pop.genomes[parents]  # (n_pairs, 2, slots, components, depth)

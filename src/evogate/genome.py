@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,10 +82,18 @@ def decode(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     depth = bits.shape[-1]
     if depth != cfg.depth:
         raise ValueError(f"chromosome length {depth} != codec depth {cfg.depth}")
-    place = 1 << np.arange(depth - 1, -1, -1, dtype=np.int64)
-    ints = bits.astype(np.int64) @ place
-    full = np.int64(1) << depth
-    return cfg.half_range * ((2 * ints + 1 - full) / float(full))
+    full = 1 << depth
+    # 2*u + 1 - 2**L is exact in int64, and R / 2**L only rescales R by a
+    # power of two, so the product rounds once, like R * ((2*u + 1 - 2**L) / 2**L)
+    return (np.matmul(bits, _double_place_values(depth)) + (1 - full)) * (cfg.half_range / full)
+
+
+@lru_cache(maxsize=None)
+def _double_place_values(depth: int) -> np.ndarray:
+    """Read-only int64 weights 2 * 2**(depth-1-l) of genes l = 0..depth-1."""
+    place = 2 << np.arange(depth - 1, -1, -1, dtype=np.int64)
+    place.flags.writeable = False
+    return place
 
 
 def decode_vector(vec: np.ndarray, cfg: CodecConfig) -> np.ndarray:

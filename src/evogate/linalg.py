@@ -5,6 +5,12 @@ Matrices have shape ``(..., d, d)`` and state vectors ``(..., d)``; leading
 axes broadcast, so a whole population of parameter vectors can be turned into
 unitaries in a single call.  All functions are pure and never mutate their
 inputs.
+
+The floats are part of the contract: stored fitness values are re-scored
+exactly, so a rewrite of a function on the fitness path must keep every
+bit.  Keep contractions as ``np.einsum``, which sums term by term in index
+order; numpy's complex ``*`` ufunc and ``@`` round differently on general
+complex matrices.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 class NumericError(RuntimeError):
@@ -155,19 +162,35 @@ def su2_closed_form(p: np.ndarray) -> np.ndarray:
     ``n = p / |p|``; the zero vector maps to the identity.  Agrees with
     :func:`unitary_from_params` at ``d = 2`` to machine precision and is the
     fast path used inside optimization loops.  Accepts leading batch axes.
+
+    The arithmetic is pinned, because every fitness in a run goes through
+    it: ``T`` is ``sqrt`` of the sum of squares, as ``np.linalg.norm``
+    computes it; ``sin(T)/T`` is ``np.sinc(T/pi)`` written out; and each
+    entry is one real product ``f*p_k`` (or ``cos T``) written straight into
+    the real or imaginary half, which equals the complex expression
+    ``c - 1j*f*p_z`` and its kin (the imaginary unit times a real contributes
+    an exact zero to the real part).
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError(f"expected 3 parameters, got {p.shape[-1]}")
-    theta = np.linalg.norm(p, axis=-1)
-    f = np.sinc(theta / np.pi)  # sin(theta)/theta with the correct limit at 0
-    c = np.cos(theta)
-    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    theta = np.sqrt(np.add.reduce(p * p, axis=-1))
+    x = np.pi * (theta / np.pi)
+    x = np.where(x, x, _EPS)  # sin(x)/x -> 1 at 0, as np.sinc does it
+    f = np.sin(x) / x
+    fp = f[..., None] * p  # f*px, f*py, f*pz
     u = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
-    u[..., 0, 0] = c - 1j * f * pz
-    u[..., 0, 1] = -f * py - 1j * f * px
-    u[..., 1, 0] = f * py - 1j * f * px
-    u[..., 1, 1] = c + 1j * f * pz
+    # w: the entries as (re, im) float pairs, u00 u01 u10 u11 in turn; an
+    # imaginary part is 0 -/+ f*p_k as in the complex expression, so an
+    # exactly-zero one keeps its +0
+    w = u.reshape(p.shape[:-1] + (4,)).view(float)
+    w[..., 0:7:6] = np.cos(theta)[..., None]  # re u00, re u11
+    np.subtract(0.0, fp[..., 2], out=w[..., 1])  # im u00
+    np.negative(fp[..., 1], out=w[..., 2])  # re u01
+    np.subtract(0.0, fp[..., 0], out=w[..., 3])  # im u01
+    w[..., 4] = fp[..., 1]  # re u10
+    w[..., 5] = w[..., 3]  # im u10
+    np.add(0.0, fp[..., 2], out=w[..., 7])  # im u11
     return u
 
 

@@ -5,12 +5,18 @@ first on the state, so the total operator is the product of the slot
 matrices taken right to left ("rightmost-acts-first").  Trainable slots are
 filled from a genome; oracle slots look their matrix up in an oracle family
 keyed by the classical input label of each training pair.
+
+Stored fitness values are re-scored exactly, so every product in
+:func:`population_fitness` is an ``np.einsum`` contraction.  Keep it so:
+numpy's complex ``*`` ufunc and ``@`` round differently from einsum on
+general complex matrices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -155,6 +161,28 @@ class TaskSpec:
     def n_slots(self) -> int:
         return self.template.n_trainable
 
+    @cached_property
+    def _circuit_plan(self) -> tuple:
+        """``(prefix, steps, targets)``: the circuit as :func:`population_fitness`
+        applies it to all pairs at once.
+
+        ``prefix`` holds the 0-based indices of the trainable slots before the
+        first oracle slot, which act the same for every pair.  ``steps`` holds
+        the remaining slots: a trainable index, or the pairs' oracle matrices
+        stacked as ``(n_pairs, d, d)``.  ``targets`` stacks the conjugated
+        targets as ``(n_pairs, d)``.
+        """
+        slots = self.template.slots
+        n_shared = next((i for i, s in enumerate(slots) if isinstance(s, OracleSlot)), len(slots))
+        labels = [label for label, _ in self.pairs]
+        steps = tuple(
+            s.index - 1 if isinstance(s, TrainableSlot)
+            else _frozen_state([self.oracle_families[s.family][x] for x in labels])
+            for s in slots[n_shared:]
+        )
+        targets = _frozen_state([t.conj() for _, t in self.pairs])
+        return tuple(s.index - 1 for s in slots[:n_shared]), steps, targets
+
 
 def deutsch_oracle(name: str) -> np.ndarray:
     """Phase oracle of a one-bit Boolean function: |k> -> exp(i pi f(k)) |k>.
@@ -223,15 +251,11 @@ def builtin_task(name: str) -> TaskSpec:
     raise KeyError(f"no built-in task named {name!r}")
 
 
-def _trainable_unitaries(params: np.ndarray, dim: int, use_closed_form=None) -> np.ndarray:
-    fast = dim == 2 if use_closed_form is None else use_closed_form
-    if fast and dim != 2:
-        raise ValueError("closed form is only available for dimension 2")
-    return su2_closed_form(params) if fast else unitary_from_params(params, dim)
+def _trainable_unitaries(params: np.ndarray, dim: int) -> np.ndarray:
+    return su2_closed_form(params) if dim == 2 else unitary_from_params(params, dim)
 
 
-def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str,
-                  use_closed_form=None) -> np.ndarray:
+def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str) -> np.ndarray:
     """Total operator of the circuit for input label ``x`` and one genome.
 
     Trainable slots are decoded from the genome; oracle slots resolve ``x``
@@ -245,7 +269,7 @@ def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str
         raise ValueError(
             f"genome shape {params.shape} does not match {task.n_slots} trainable slots"
         )
-    us = _trainable_unitaries(params, task.dim, use_closed_form)
+    us = _trainable_unitaries(params, task.dim)
     total = np.eye(task.dim, dtype=complex)
     for slot in task.template.slots:
         if isinstance(slot, TrainableSlot):
@@ -259,12 +283,20 @@ def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str
     return total
 
 
-def population_fitness(task: TaskSpec, params: np.ndarray, use_closed_form=None) -> np.ndarray:
+def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
     """Mean output fidelity against the targets, batched over candidates.
 
     ``params`` has shape ``(..., n_slots, d*d-1)``; the result drops the last
     two axes.  Each candidate scores the average of ``|<target_x| U_total(x)
     |initial>|**2`` over the task's input-target pairs.
+
+    The trainable slots before the first oracle slot act the same for every
+    pair, so they are applied once; the pairs then share one contraction per
+    slot through a pair axis.  Each contraction sums over the state index in
+    order and the fidelities add up in task order, as scoring pair by pair
+    would, so a candidate's score is bit-identical whatever batch it is
+    scored in.  The products stay ``np.einsum``: the complex ``*`` ufunc and
+    ``@`` agree with it on Deutsch's +-1 diagonal oracles, not in general.
     """
     params = np.asarray(params, dtype=float)
     d = task.dim
@@ -272,21 +304,23 @@ def population_fitness(task: TaskSpec, params: np.ndarray, use_closed_form=None)
         raise ValueError(
             f"params must end in shape {(task.n_slots, d * d - 1)}, got {params.shape[-2:]}"
         )
-    us = _trainable_unitaries(params, d, use_closed_form)
-    batch = params.shape[:-2]
-    total = np.zeros(batch, dtype=float)
-    for label, target in task.pairs:
-        state = np.broadcast_to(task.initial_state, batch + (d,))
-        for slot in task.template.slots:
-            if isinstance(slot, TrainableSlot):
-                m = us[..., slot.index - 1, :, :]
-                state = np.einsum("...ij,...j->...i", m, state)
-            else:
-                m = task.oracle_families[slot.family][label]
-                state = np.einsum("ij,...j->...i", m, state)
-        amp = np.einsum("i,...i->...", target.conj(), state)
-        total += amp.real**2 + amp.imag**2
-    return total / len(task.pairs)
+    us = _trainable_unitaries(params, d)
+    prefix, steps, targets = task._circuit_plan
+    state = task.initial_state
+    for k in prefix:
+        state = np.einsum("...ij,...j->...i", us[..., k, :, :], state)
+    state = state[..., None, :]  # a pair axis, broadcast until the first oracle
+    for step in steps:
+        if isinstance(step, int):
+            state = np.einsum("...ij,...pj->...pi", us[..., step, :, :], state)
+        else:
+            state = np.einsum("pij,...pj->...pi", step, state)
+    amp = np.einsum("pi,...pi->...p", targets, state)
+    prob = amp.real**2 + amp.imag**2
+    total = prob[..., 0]
+    for k in range(1, len(targets)):  # pair by pair, in task order
+        total = total + prob[..., k]
+    return total / len(targets)
 
 
 def decision_outcome(out_constant: np.ndarray, out_balanced: np.ndarray):

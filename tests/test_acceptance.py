@@ -177,7 +177,7 @@ def test_criterion_5_selection_law():
             probs = ga.selection_probabilities(n)
             rng = np.random.default_rng(123)
             draws = 100_000
-            counts = np.bincount(ga.select_parents(probs, draws, rng)[:, 0], minlength=n)
+            counts = np.bincount(ga.select_parents(n, draws, rng)[:, 0], minlength=n)
             expected = draws * probs
             sigma = np.sqrt(draws * probs * (1.0 - probs))
             worst = np.max(np.abs(counts - expected) / sigma)

@@ -47,16 +47,14 @@ def test_selection_probabilities_shape():
 
 
 def test_select_parents_two_individuals():
-    probs = ga.selection_probabilities(2)
-    pairs = ga.select_parents(probs, 50, np.random.default_rng(0))
+    pairs = ga.select_parents(2, 50, np.random.default_rng(0))
     assert pairs.shape == (50, 2)
     for pair in pairs.tolist():
         assert set(pair) == {0, 1}
 
 
 def test_select_parents_bounds_and_distinctness():
-    probs = ga.selection_probabilities(10)
-    pairs = ga.select_parents(probs, 2000, np.random.default_rng(1))
+    pairs = ga.select_parents(10, 2000, np.random.default_rng(1))
     assert np.all((pairs >= 0) & (pairs < 10))
     assert np.all(pairs[:, 0] != pairs[:, 1])
 
@@ -66,9 +64,18 @@ def test_select_parents_first_rank_frequency():
     n = 10
     probs = ga.selection_probabilities(n)
     draws = 100_000
-    hits = int(np.sum(ga.select_parents(probs, draws, np.random.default_rng(123))[:, 0] == 0))
+    hits = int(np.sum(ga.select_parents(n, draws, np.random.default_rng(123))[:, 0] == 0))
     sigma = np.sqrt(draws * probs[0] * (1 - probs[0]))
     assert abs(hits - draws * probs[0]) <= 3 * sigma
+
+
+@pytest.mark.parametrize("n_pop", [2, 3, 10, 100, 401])
+def test_rank_bounds_match_clamped_cdf_search(n_pop):
+    cdf = np.cumsum(ga.selection_probabilities(n_pop))
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)], np.linspace(0.0, 1.0, 1001)[:-1]])
+    want = np.minimum(np.searchsorted(cdf, u, side="right"), n_pop - 1)
+    assert np.array_equal(np.searchsorted(ga._rank_bounds(n_pop), u, side="right"), want)
 
 
 def _reference_pairs(probs, n_pairs, rng):
@@ -104,13 +111,13 @@ def _reference_generation(pop, cfg, streams):
     return np.stack(children[: cfg.n_pop])
 
 
-@pytest.mark.parametrize("n_pop", [2, 3, 10])
+@pytest.mark.parametrize("n_pop", [2, 3, 10, 100, 401])
 def test_select_parents_matches_per_pair_reference(n_pop):
     probs = ga.selection_probabilities(n_pop)
-    for n_pairs in (0, 1, 2, 5, 37):
+    for n_pairs in (0, 1, 2, 5, 37, 200):
         rng, ref_rng = np.random.default_rng(n_pop), np.random.default_rng(n_pop)
         for _ in range(3):
-            pairs = ga.select_parents(probs, n_pairs, rng)
+            pairs = ga.select_parents(n_pop, n_pairs, rng)
             assert pairs.tolist() == [list(p) for p in _reference_pairs(probs, n_pairs, ref_rng)]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -139,8 +146,7 @@ def _bred(genomes, cfg, seed, monkeypatch):
     """Children of one generation in breeding order (pair-major, kid a first)."""
     monkeypatch.setattr(ga, "evaluate", lambda pop, task, codec: pop)
     streams = RngStreams.from_seed(seed)
-    pairs = ga.select_parents(ga.selection_probabilities(cfg.n_pop),
-                              (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
+    pairs = ga.select_parents(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
     nxt = ga.next_generation(Population(genomes, np.zeros(len(genomes))), cfg, TASK, streams)
     return nxt.genomes, pairs, streams
 

@@ -38,6 +38,30 @@ def test_decode_matches_termwise_sum():
         assert abs(fast - slow) <= 1e-15 * cfg.half_range
 
 
+def reference_decode(bits, cfg):
+    """decode as first written: int64 place values, then R * (... / 2**L)."""
+    bits = np.asarray(bits)
+    depth = bits.shape[-1]
+    place = 1 << np.arange(depth - 1, -1, -1, dtype=np.int64)
+    ints = bits.astype(np.int64) @ place
+    full = np.int64(1) << depth
+    return cfg.half_range * ((2 * ints + 1 - full) / float(full))
+
+
+@pytest.mark.parametrize("depth", range(1, 31))
+def test_decode_matches_reference_bit_for_bit(depth):
+    rng = np.random.default_rng(depth)
+    bits = rng.integers(0, 2, size=(40, 2, 3, depth), dtype=np.uint8)
+    edges = np.stack([np.zeros(depth, np.uint8), np.ones(depth, np.uint8)])
+    for half_range in (math.pi, 1.0, 0.3, 2 * math.pi, 1e3):
+        cfg = CodecConfig(depth=depth, half_range=half_range)
+        for b in (bits, edges, bits[:1], bits[0, 1, 2]):
+            got = np.asarray(genome.decode(b, cfg))
+            want = np.asarray(reference_decode(b, cfg))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def all_codes(depth):
     ints = np.arange(1 << depth, dtype=np.int64)
     shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)

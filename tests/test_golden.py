@@ -1,15 +1,17 @@
 """Golden trajectories: the exact output bytes of a few fixed sweeps.
 
 Each case runs ``evogate sweep`` and pins the sha256 of ``runs.csv`` and
-``stats.csv``.  Any change to the order or number of draws on the four
-random streams, to the breeding step, to evaluation or to the output format
-changes these digests.  Re-pin them only for a change that is meant to alter
-results, and say so where the change is recorded.
+``stats.csv`` (and ``alpha_phi.csv`` for the general task).  Any change to
+the order or number of draws on the four random streams, to the breeding
+step, to the arithmetic of evaluation or to the output format changes these
+digests.  Re-pin them only for a change that is meant to alter results, and
+say so where the change is recorded.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -49,14 +51,75 @@ CASES = {
 }
 
 
+def _c(re, im):
+    return [re, im]
+
+
+# A d=2 task whose oracles and targets have general complex entries, so that
+# a change in the order of the complex arithmetic shows in the digests; the
+# +-1 diagonal Deutsch oracles and |0>/|1> targets would hide it.  Trainable,
+# oracle, trainable, oracle: the oracle slot repeats and three pairs score.
+GENERAL_TASK = {
+    "name": "general-t-o-t-o",
+    "dim": 2,
+    "slot_order": "rightmost-acts-first",
+    "slots": [{"kind": "trainable", "index": 1}, {"kind": "oracle", "family": "oracle"},
+              {"kind": "trainable", "index": 2}, {"kind": "oracle", "family": "oracle"}],
+    "initial_state": [_c(0.00098299300897526968, 0.47551412079742961),
+                      _c(-0.49223866270023164, 0.72909975558223794)],
+    "pairs": [
+        ["a", [_c(0.69892291522693228, -0.49168787776031619),
+               _c(-0.48803099478732215, -0.17769506904002622)]],
+        ["b", [_c(0.85919338840827819, -0.33530548844097929),
+               _c(-0.2401698636322552, 0.30277943678480235)]],
+        ["c", [_c(-0.030747374322386601, -0.99765842676015104),
+               _c(0.053559149449459609, -0.029388433047540394)]],
+    ],
+    "oracle_families": {"oracle": {
+        "a": [[_c(-0.062647097163337537, 0.68270516017674487),
+               _c(-0.25997841585831022, 0.6800001682153145)],
+              [_c(0.6946147354187453, -0.21794351292066258),
+               _c(-0.68525740019669079, 0.020815618910326305)]],
+        "b": [[_c(-0.85476005611597516, 0.48585713251436274),
+               _c(-0.039545601363662558, -0.17822524699470002)],
+              [_c(0.1462122139989763, -0.10931642937387359),
+               _c(-0.33110367583506867, -0.92576577091344758)]],
+        "c": [[_c(0.54313603340690164, 0.56593007067110412),
+               _c(-0.45649537539432516, 0.41992663236428607)],
+              [_c(0.37892901146530283, 0.49105927197757349),
+               _c(0.63099666918980568, -0.465957937099643)]],
+    }},
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _sweep(argv, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv + ["--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_sweep(name, tmp_path):
     flags, runs_digest, stats_digest = CASES[name]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli_main(COMMON + flags + ["--out", str(tmp_path)]) == 0
+    _sweep(COMMON + flags, tmp_path)
     assert _sha256(tmp_path / "runs.csv") == runs_digest
     assert _sha256(tmp_path / "stats.csv") == stats_digest
+
+
+def test_golden_sweep_general_task(tmp_path, monkeypatch):
+    # relative paths: the task path is echoed into every file's metadata
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "task.json").write_text(json.dumps(GENERAL_TASK), encoding="utf-8")
+    out = tmp_path / "out"
+    _sweep(["sweep", "--task", "task.json", "--depth", "15", "--threshold", "1e-4",
+            "--workers", "1", "--npop", "12", "--mutation", "0.02", "--elitism", "1",
+            "--seeds", "6", "--base-seed", "2", "--max-gen", "60"], out)
+    assert _sha256(out / "runs.csv") == (
+        "e913947fcbe9dc8c3b00e5bbf7ece10120c1b3f73ff4d24c8cc00cb033c2c37e")
+    assert _sha256(out / "stats.csv") == (
+        "3c853e9bfafef233319220f772947a4749856b4049a645f01424f70019759e89")
+    assert _sha256(out / "alpha_phi.csv") == (
+        "1b994de2044aea1596f9b1d3b269c3ff81d2494b918c76593fb4e6dc81188e6c")

@@ -79,6 +79,39 @@ def test_su2_special_angles():
     assert np.max(np.abs(u + np.eye(2))) <= 1e-12
 
 
+def _reference_su2(p):
+    """su2_closed_form as first written, through complex temporaries."""
+    p = np.asarray(p, dtype=float)
+    theta = np.linalg.norm(p, axis=-1)
+    f = np.sinc(theta / np.pi)
+    c = np.cos(theta)
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    u = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = c - 1j * f * pz
+    u[..., 0, 1] = -f * py - 1j * f * px
+    u[..., 1, 0] = f * py - 1j * f * px
+    u[..., 1, 1] = c + 1j * f * pz
+    return u
+
+
+def test_su2_closed_form_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for shape in [(3,), (1, 3), (11, 2, 3), (400, 2, 3)]:
+        p = rng.uniform(-2 * np.pi, 2 * np.pi, size=shape)
+        got = linalg.su2_closed_form(p)
+        assert got.shape == shape[:-1] + (2, 2)
+        assert np.array_equal(got.view(np.uint64), _reference_su2(p).view(np.uint64))
+    transposed = rng.uniform(-4.0, 4.0, size=(3, 9)).T  # not C-contiguous
+    assert np.array_equal(linalg.su2_closed_form(transposed), _reference_su2(transposed))
+    # the zero vector (the sin(x)/x limit) bit for bit, and |p| = k pi by value
+    zero = np.zeros(3)
+    assert np.array_equal(linalg.su2_closed_form(zero).view(np.uint64),
+                          _reference_su2(zero).view(np.uint64))
+    k_pi = np.array([[np.pi, 0.0, 0.0], [0.0, -2 * np.pi, 0.0], [0.0, 0.0, 3 * np.pi],
+                     np.pi / np.sqrt(3) * np.ones(3)])
+    assert np.array_equal(linalg.su2_closed_form(k_pi), _reference_su2(k_pi))
+
+
 def test_hermitian_eig_diagonal():
     w, v = linalg.hermitian_eig(np.diag([1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0])

@@ -114,11 +114,82 @@ def test_fitness_bounds():
 
 
 def test_population_fitness_general_path_matches_fast_path():
+    # population_fitness takes the d=2 closed form; score the same circuits
+    # from the eigendecomposition path instead
     task = deutsch_task()
     params = genome.decode(random_genomes(50, seed=4), CODEC)
-    fast = population_fitness(task, params, use_closed_form=True)
-    general = population_fitness(task, params, use_closed_form=False)
+    fast = population_fitness(task, params)
+    u = linalg.unitary_from_params(params, 2)
+    general = np.zeros(50)
+    for label, target in task.pairs:
+        out = u[:, 1] @ deutsch_oracle(label) @ u[:, 0] @ task.initial_state
+        general += np.abs(out @ target.conj()) ** 2
+    general /= len(task.pairs)
     assert np.max(np.abs(fast - general)) <= 1e-12
+
+
+def _reference_population_fitness(task, params):
+    """population_fitness as first written: every pair walks every slot."""
+    params = np.asarray(params, dtype=float)
+    d = task.dim
+    if d == 2:
+        us = linalg.su2_closed_form(params)
+    else:
+        us = linalg.unitary_from_params(params, d)
+    batch = params.shape[:-2]
+    total = np.zeros(batch, dtype=float)
+    for label, target in task.pairs:
+        state = np.broadcast_to(task.initial_state, batch + (d,))
+        for slot in task.template.slots:
+            if isinstance(slot, TrainableSlot):
+                m = us[..., slot.index - 1, :, :]
+                state = np.einsum("...ij,...j->...i", m, state)
+            else:
+                m = task.oracle_families[slot.family][label]
+                state = np.einsum("ij,...j->...i", m, state)
+        amp = np.einsum("i,...i->...", target.conj(), state)
+        total += amp.real**2 + amp.imag**2
+    return total / len(task.pairs)
+
+
+def _random_state(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def _general_task(d, kinds, seed):
+    """A task over general complex oracles and targets: three pairs, slots
+    given as a string of T (trainable) and O (oracle)."""
+    rng = np.random.default_rng(seed)
+    slots, n = [], 0
+    for kind in kinds:
+        if kind == "T":
+            n += 1
+            slots.append(TrainableSlot(n))
+        else:
+            slots.append(OracleSlot())
+    labels = ("a", "b", "c")
+    oracles = {x: linalg.unitary_from_params(rng.uniform(-3, 3, d * d - 1), d) for x in labels}
+    pairs = tuple((x, _random_state(rng, d)) for x in labels)
+    return TaskSpec(CircuitTemplate(d, tuple(slots)), _random_state(rng, d), pairs,
+                    {"oracle": oracles})
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kinds", ["TOTO", "OTOT", "TTOT", "TOOT", "TT"])
+def test_population_fitness_matches_reference_bit_for_bit(d, kinds):
+    task = _general_task(d, kinds, seed=len(kinds) + d)
+    codec = CodecConfig(depth=12, dim=d)
+    rng = np.random.default_rng(d)
+    genomes = rng.integers(0, 2, size=(400, task.n_slots, d * d - 1, 12), dtype=np.uint8)
+    params = genome.decode(genomes, codec)
+    single = np.array([population_fitness(task, p) for p in params[:11]])
+    assert np.array_equal(single, _reference_population_fitness(task, params[:11]))
+    for n in (1, 2, 11, 100, 400):
+        got = population_fitness(task, params[:n])
+        assert got.shape == (n,)
+        assert np.array_equal(got, _reference_population_fitness(task, params[:n]))
+        assert np.array_equal(got[:11], single[:n])
 
 
 # ------------------------------------------------------------ compose_total
