@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "CodecConfig",
+    "MAX_DEPTH",
     "chromosome_from_string",
     "chromosome_to_string",
     "decode",
@@ -30,6 +31,10 @@ __all__ = [
     "rounding_error_bound",
 ]
 
+# the largest depth whose grid numerators 2*u + 1 - 2**depth, and every
+# partial sum of decode's float product, are exact doubles
+MAX_DEPTH = 52
+
 
 @dataclass(frozen=True)
 class CodecConfig:
@@ -39,7 +44,9 @@ class CodecConfig:
     magnitude the code approaches at its ends, and ``dim`` the Hilbert-space
     dimension (a parameter vector has ``dim**2 - 1`` components).  The
     decoded grid has ``2**depth`` points with spacing
-    ``half_range * 2**(1 - depth)``, symmetric about zero.
+    ``half_range * 2**(1 - depth)``, symmetric about zero.  ``depth`` runs
+    from 1 to :data:`MAX_DEPTH` (52), where the grid is still exact in
+    double precision.
     """
 
     depth: int
@@ -47,8 +54,8 @@ class CodecConfig:
     dim: int = 2
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
         if not self.half_range > 0:
             raise ValueError(f"half_range must be positive, got {self.half_range}")
         if self.dim < 2:
@@ -75,6 +82,11 @@ def decode(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     integer form ``R * (2*u + 1 - 2**L) / 2**L`` (``u`` = the bits read as an
     unsigned integer) so each output is a single correctly rounded multiple.
 
+    ``2*u`` is one float64 matrix-vector product of the flattened genes with
+    the place values ``2**(L-l)``, a single BLAS call.  It is exact in any
+    summation order: every partial sum is an integer below ``2**53`` while
+    ``L <= 52``, the bound :class:`CodecConfig` enforces.
+
     The last axis is the chromosome; leading axes pass through, so a whole
     genome (or population of genomes) decodes in one call.
     """
@@ -83,15 +95,16 @@ def decode(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     if depth != cfg.depth:
         raise ValueError(f"chromosome length {depth} != codec depth {cfg.depth}")
     full = 1 << depth
-    # 2*u + 1 - 2**L is exact in int64, and R / 2**L only rescales R by a
-    # power of two, so the product rounds once, like R * ((2*u + 1 - 2**L) / 2**L)
-    return (np.matmul(bits, _double_place_values(depth)) + (1 - full)) * (cfg.half_range / full)
+    # 2*u + 1 - 2**L is exact, and R / 2**L only rescales R by a power of
+    # two, so the product rounds once, like R * ((2*u + 1 - 2**L) / 2**L)
+    flat = bits.reshape(-1, depth) @ _double_place_values(depth)
+    return (flat + (1 - full)).reshape(bits.shape[:-1]) * (cfg.half_range / full)
 
 
 @lru_cache(maxsize=None)
 def _double_place_values(depth: int) -> np.ndarray:
-    """Read-only int64 weights 2 * 2**(depth-1-l) of genes l = 0..depth-1."""
-    place = 2 << np.arange(depth - 1, -1, -1, dtype=np.int64)
+    """Read-only float64 weights 2 * 2**(depth-1-l) of genes l = 0..depth-1."""
+    place = np.ldexp(1.0, np.arange(depth, 0, -1))
     place.flags.writeable = False
     return place
 

@@ -144,6 +144,15 @@ def test_run_missing_task_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("depth", ["53", "63", "64"])
+def test_run_rejects_depth_beyond_exact_grid(tmp_path, capsys, depth):
+    out = tmp_path / "deep"
+    rc = main(["run", "--depth", depth, "--npop", "4", "--out", str(out)])
+    assert rc == 1
+    assert f"depth must be in 1..52, got {depth}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_accepts_task_file(tmp_path):
     from evogate import tasks
 

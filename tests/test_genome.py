@@ -48,14 +48,16 @@ def reference_decode(bits, cfg):
     return cfg.half_range * ((2 * ints + 1 - full) / float(full))
 
 
-@pytest.mark.parametrize("depth", range(1, 31))
+@pytest.mark.parametrize("depth", [*range(1, 31), 52])
 def test_decode_matches_reference_bit_for_bit(depth):
     rng = np.random.default_rng(depth)
     bits = rng.integers(0, 2, size=(40, 2, 3, depth), dtype=np.uint8)
     edges = np.stack([np.zeros(depth, np.uint8), np.ones(depth, np.uint8)])
     for half_range in (math.pi, 1.0, 0.3, 2 * math.pi, 1e3):
         cfg = CodecConfig(depth=depth, half_range=half_range)
-        for b in (bits, edges, bits[:1], bits[0, 1, 2]):
+        strided = bits[::3, :, ::-1]  # non-contiguous leading axes
+        reversed_genes = bits[5, 0, 1, ::-1]  # 1-D, negative stride
+        for b in (bits, edges, bits[:1], bits[0, 1, 2], strided, reversed_genes, edges[1]):
             got = np.asarray(genome.decode(b, cfg))
             want = np.asarray(reference_decode(b, cfg))
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -152,6 +154,12 @@ def test_rounding_error_bound_values():
 def test_codec_validation():
     with pytest.raises(ValueError):
         CodecConfig(depth=0)
+    # 52 is the deepest grid that is exact in doubles
+    assert genome.MAX_DEPTH == 52
+    CodecConfig(depth=52)
+    for depth in (53, 63, 64):
+        with pytest.raises(ValueError, match="depth"):
+            CodecConfig(depth=depth)
     with pytest.raises(ValueError):
         CodecConfig(depth=3, half_range=0.0)
     with pytest.raises(ValueError):

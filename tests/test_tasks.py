@@ -190,6 +190,18 @@ def test_population_fitness_matches_reference_bit_for_bit(d, kinds):
         assert got.shape == (n,)
         assert np.array_equal(got, _reference_population_fitness(task, params[:n]))
         assert np.array_equal(got[:11], single[:n])
+    # the batch is flattened and moved innermost: more leading axes and
+    # strided or Fortran-ordered inputs must score like one row at a time
+    grid = params[:21].reshape((3, 7) + params.shape[1:])
+    strided = params[:60:3]
+    fortran = np.asfortranarray(params[:20])
+    for batch in (grid, strided, fortran):
+        got = population_fitness(task, batch)
+        assert got.shape == batch.shape[:-2]
+        rows = batch.reshape((-1,) + batch.shape[-2:])
+        one_by_one = np.array([population_fitness(task, p) for p in rows])
+        assert np.array_equal(got.ravel(), one_by_one)
+    assert not strided.flags.c_contiguous and not fortran.flags.c_contiguous
 
 
 # ------------------------------------------------------------ compose_total
