@@ -1,8 +1,9 @@
 """How binary chromosomes encode rotation parameters.
 
 Each trainable unitary carries three real parameters; every parameter is an
-L-bit string that lands on a symmetric grid of 2**L points.  This script
-walks through the decode map and its rounding-error scale.
+L-bit string that lands on a symmetric grid of 2**L points.  The search
+carries each string as its integer code (gene 1 the most significant bit).
+This script walks through the decode map and its rounding-error scale.
 """
 
 import numpy as np
@@ -10,9 +11,12 @@ import numpy as np
 from evogate.genome import (
     CodecConfig,
     decode,
+    decode_codes,
     encode_nearest,
+    pack,
     random_genome,
     rounding_error_bound,
+    unpack,
 )
 
 cfg = CodecConfig(depth=5)
@@ -22,10 +26,11 @@ print(f"grid spacing: {cfg.spacing:.6f} rad ({1 << cfg.depth} points)\n")
 # the first gene steers the sign of the largest contribution
 for bits in ("00000", "01111", "10000", "11111"):
     arr = np.array([int(b) for b in bits], dtype=np.uint8)
-    print(f"  {bits} -> {float(decode(arr, cfg)):+.6f}")
+    print(f"  {bits} (code {int(pack(arr)):2d}) -> {float(decode(arr, cfg)):+.6f}")
 
-all_codes = ((np.arange(1 << cfg.depth)[:, None] >> np.arange(cfg.depth - 1, -1, -1)) & 1)
-values = decode(all_codes.astype(np.uint8), cfg)
+codes = np.arange(1 << cfg.depth)
+assert np.array_equal(decode(unpack(codes, cfg.depth), cfg), decode_codes(codes, cfg))
+values = decode_codes(codes, cfg)
 print(f"\nfull grid: min {values.min():+.4f}, max {values.max():+.4f}, "
       f"every gap equals {np.diff(np.sort(values)).mean():.6f}")
 

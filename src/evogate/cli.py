@@ -37,6 +37,9 @@ _INT_KEYS = ("npop", "depth", "elitism", "max_gen", "seeds", "base_seed", "horiz
 _FLOAT_KEYS = ("half_range", "threshold", "mutation")
 # remaining keys (task, out) stay strings
 
+# lower bounds of the integer keys that no library config checks
+_INT_MINIMUMS = {"seeds": 1, "horizon": 0, "workers": 1}
+
 # execution-context fields; everything else is echoed into output metadata
 _CONTEXT_KEYS = ("out", "workers")
 
@@ -84,7 +87,8 @@ def _coerce(key: str, value: str):
 def load_config(config_path, flag_values: dict):
     """Merge defaults, config-file entries, and explicit CLI flags.
 
-    Returns the effective config plus the set of explicitly set keys.
+    Returns the effective config plus the set of explicitly set keys.  A
+    value below its key's minimum in ``_INT_MINIMUMS`` raises ``ValueError``.
     """
     cfg = ExperimentConfig()
     explicit = set()
@@ -101,6 +105,9 @@ def load_config(config_path, flag_values: dict):
         if value is not None:
             setattr(cfg, key, value)
             explicit.add(key)
+    for key, low in _INT_MINIMUMS.items():
+        if getattr(cfg, key) < low:
+            raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(cfg, key)}")
     return cfg, explicit
 
 
@@ -265,9 +272,6 @@ def _write_sweep_outputs(cfg, task, ga_cfg, results, out_dir, prefix="") -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if cfg.seeds < 1:
-        print("error: sweep needs at least one seed", file=sys.stderr)
-        return EXIT_ERROR
     task = resolve_task(cfg.task)
     ga_cfg = make_ga_config(cfg, task)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.seeds)

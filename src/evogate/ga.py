@@ -1,13 +1,19 @@
 """Generational genetic algorithm over binary genomes.
 
-A population is a single uint8 array of shape ``(n_pop, n_slots,
-n_components, depth)`` so fitness evaluation vectorizes across all
-candidates.  Randomness comes from four named PCG64 streams derived from the
-run seed (population init, parent selection, crossover cut points, mutation),
-which makes every run a pure function of (config, task, seed).
+A population is a single int64 array of shape ``(n_pop, n_slots,
+n_components)``: each chromosome is carried as its integer code, the ``L``
+genes read as an unsigned ``L``-bit integer with gene 1 the most significant
+bit (:func:`evogate.genome.pack`).  Bit arrays appear only at the edges of a
+run: the init draw is packed once, and the best genome of the final
+generation is unpacked once into ``RunRecord.best_genome``.  Fitness
+evaluation vectorizes across all candidates.  Randomness comes from four
+named PCG64 streams derived from the run seed (population init, parent
+selection, crossover cut points, mutation), which makes every run a pure
+function of (config, task, seed).
 
-Draw contract, so that ports can match run for run.  The init stream makes
-one draw per run (see ``run``).  A generation with ``P = ceil((n_pop -
+Draw contract, so that ports can match run for run; it is stated in genes
+and does not depend on the code representation.  The init stream makes one
+draw per run (see ``run``).  A generation with ``P = ceil((n_pop -
 elitism) / 2)`` pairs, ``S`` slots, ``C`` components and depth ``L`` draws:
 
 * selection: one double per rank draw, pair by pair: the first parent's
@@ -16,9 +22,11 @@ elitism) / 2)`` pairs, ``S`` slots, ``C`` components and depth ``L`` draws:
   n_pop - 1)`` over ``p = selection_probabilities(n_pop)``;
 * crossover: one ``integers(0, L*(L+1)/2, size=(P, S, C))`` call; value
   ``k`` picks the k-th cut pair ``1 <= s <= e <= L`` in lexicographic order,
-  and genes ``s..e`` of that chromosome swap between the two parents;
+  and genes ``s..e`` of that chromosome swap between the two parents.  On
+  codes the cut pair is the mask with bits ``L-e .. L-s`` set;
 * mutation: one ``random((P, 2, S, C, L))`` call, a gene flipping where its
-  double is below the rate, and none at all when the rate is 0.  When
+  double is below the rate, and none at all when the rate is 0.  On codes
+  the flips of a chromosome are packed like its genes and XORed in.  When
   ``n_pop - elitism`` is odd the last pair's kid b is discarded after its
   flips are drawn.
 """
@@ -103,7 +111,8 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class Population:
-    """Genome stack plus cached fitness (descending after evaluation)."""
+    """Integer-coded genome stack ``(n_pop, slots, components)`` plus cached
+    fitness (descending after evaluation)."""
 
     genomes: np.ndarray
     fitness: np.ndarray | None = None
@@ -127,6 +136,7 @@ class Population:
 
     @property
     def best_genome(self) -> np.ndarray:
+        """Codes of the top individual, ``(slots, components)``."""
         return self.genomes[0]
 
 
@@ -137,6 +147,7 @@ class RunRecord:
     Per-generation series all have length ``q_c``; ``best_genome`` and the
     derived ``best_fitness``/``epsilon_opt`` describe the top individual of
     the final generation, i.e. the solution the run hands back.
+    ``best_genome`` is a ``(slots, components, depth)`` uint8 bit array.
     """
 
     seed: int
@@ -170,14 +181,11 @@ def selection_probabilities(n_pop: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _segment_masks(depth: int) -> np.ndarray:
-    """Boolean swap masks for every cut pair 1 <= s <= e <= depth (lexicographic)."""
-    rows = []
-    for s in range(1, depth + 1):
-        for e in range(s, depth + 1):
-            row = np.zeros(depth, dtype=bool)
-            row[s - 1 : e] = True
-            rows.append(row)
-    table = np.stack(rows)
+    """Read-only int64 swap masks of every cut pair 1 <= s <= e <= depth, in
+    lexicographic order: genes s..e set, gene 1 the most significant bit."""
+    table = np.array([((1 << (e - s + 1)) - 1) << (depth - e)
+                      for s in range(1, depth + 1) for e in range(s, depth + 1)],
+                     dtype=np.int64)
     table.flags.writeable = False
     return table
 
@@ -235,10 +243,10 @@ def fitness_fluctuation(pop: Population) -> float:
 
 def evaluate(pop: Population, task: TaskSpec, codec: CodecConfig) -> Population:
     """Score every genome and sort descending (stable, so ties keep order)."""
-    params = genome_mod.decode(pop.genomes, codec)
+    params = genome_mod.decode_codes(pop.genomes, codec)
     fitness = population_fitness(task, params)
     order = np.argsort(-fitness, kind="stable")
-    return Population(pop.genomes[order], fitness[order])
+    return Population(pop.genomes.take(order, axis=0), fitness.take(order))
 
 
 def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
@@ -252,22 +260,26 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     the parents' genes position by position), flip each gene with
     probability ``mutation_rate``.  Children go pair-major, kid a before
     kid b; an odd count discards the last kid b.  The module docstring
-    gives the draws.
+    gives the draws and how they act on the codes.
     """
     if not pop.evaluated:
         raise ValueError("population must be evaluated before breeding")
+    codes = pop.genomes
     n_bred = cfg.n_pop - cfg.elitism
     n_pairs = (n_bred + 1) // 2
     parents = select_parents(cfg.n_pop, n_pairs, streams.selection)
     masks = _segment_masks(cfg.codec.depth)
-    picks = streams.crossover.integers(0, len(masks), size=(n_pairs, *pop.genomes.shape[1:-1]))
-    kids = pop.genomes[parents]  # (n_pairs, 2, slots, components, depth)
+    picks = streams.crossover.integers(0, len(masks), size=(n_pairs, *codes.shape[1:]))
+    kids = codes.take(parents, axis=0)  # (n_pairs, 2, slots, components)
     # swapping a segment flips both kids wherever the parents differ inside it
-    kids ^= ((kids[:, 0] ^ kids[:, 1]) & masks[picks])[:, None]
+    swap = kids[:, 0] ^ kids[:, 1]
+    swap &= masks.take(picks)
+    kids ^= swap[:, None]
     if cfg.mutation_rate > 0:
-        kids ^= streams.mutation.random(kids.shape) < cfg.mutation_rate
-    kids = kids.reshape(2 * n_pairs, *pop.genomes.shape[1:])[:n_bred]
-    genomes = np.concatenate([pop.genomes[: cfg.elitism], kids])
+        flips = streams.mutation.random((*kids.shape, cfg.codec.depth)) < cfg.mutation_rate
+        kids ^= genome_mod.pack(flips)
+    kids = kids.reshape(2 * n_pairs, *codes.shape[1:])[:n_bred]
+    genomes = np.concatenate([codes[: cfg.elitism], kids]) if cfg.elitism else kids
     return evaluate(Population(genomes), task, cfg.codec)
 
 
@@ -279,18 +291,19 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     error.  Generation indices are 1-based and ``q_c`` counts evaluated
     generations, so the initial random population is generation 1.  The
     initial genomes are one uint8 draw of shape (n_pop, n_slots, components,
-    depth) from the init stream, fixed here so ports can match run for run.
+    depth) from the init stream, fixed here so ports can match run for run,
+    packed once into codes.
     """
     if cfg.n_slots != task.n_slots:
         raise ValueError(f"config expects {cfg.n_slots} slots, task has {task.n_slots}")
     if cfg.codec.dim != task.dim:
         raise ValueError(f"codec dimension {cfg.codec.dim} != task dimension {task.dim}")
     streams = RngStreams.from_seed(seed)
-    genomes = streams.init.integers(
+    bits = streams.init.integers(
         0, 2, size=(cfg.n_pop, cfg.n_slots, cfg.codec.n_components, cfg.codec.depth),
         dtype=np.uint8,
     )
-    pop = evaluate(Population(genomes), task, cfg.codec)
+    pop = evaluate(Population(genome_mod.pack(bits)), task, cfg.codec)
 
     means, flucts, bests = [], [], []
     generation = 0
@@ -317,7 +330,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         best_fitness_series=np.array(bests),
         q_c=generation,
         termination_reason=reason,
-        best_genome=pop.best_genome.copy(),
+        best_genome=genome_mod.unpack(pop.best_genome, cfg.codec.depth),
         best_fitness=best,
         epsilon_opt=1.0 - best,
     )

@@ -1,9 +1,13 @@
 """Binary genetic encoding of rotation-parameter vectors.
 
-A chromosome is a fixed-length string of 0/1 genes stored as a uint8 array;
-a parameter vector for one trainable unitary needs ``d*d - 1`` chromosomes,
-and a genome stacks one such block per trainable slot.  Genomes are treated
-as immutable values: every operator returns fresh arrays.
+A chromosome is a fixed-length string of ``L`` 0/1 genes; a parameter vector
+for one trainable unitary needs ``d*d - 1`` chromosomes, and a genome stacks
+one such block per trainable slot.  A chromosome has two forms: a uint8 bit
+array (last axis the genes, gene 1 first), used at the edges of a run and in
+every output file, and its integer code, the genes read as one unsigned
+``L``-bit int64 with gene 1 the most significant bit, which the search
+carries.  :func:`pack` and :func:`unpack` convert between them.  Genomes are
+treated as immutable values: every operator returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -20,19 +24,19 @@ __all__ = [
     "chromosome_from_string",
     "chromosome_to_string",
     "decode",
-    "decode_vector",
+    "decode_codes",
     "encode_nearest",
     "genome_from_field",
     "genome_from_strings",
     "genome_to_field",
     "genome_to_strings",
-    "random_chromosome",
+    "pack",
     "random_genome",
     "rounding_error_bound",
+    "unpack",
 ]
 
-# the largest depth whose grid numerators 2*u + 1 - 2**depth, and every
-# partial sum of decode's float product, are exact doubles
+# the largest depth whose grid numerators 2*u + 1 - 2**depth are exact doubles
 MAX_DEPTH = 52
 
 
@@ -72,51 +76,63 @@ class CodecConfig:
         return self.dim * self.dim - 1
 
 
+def pack(bits: np.ndarray) -> np.ndarray:
+    """Integer codes of 0/1 gene strings, gene 1 the most significant bit.
+
+    The last axis is the chromosome; leading axes pass through, so
+    ``pack`` of a ``(..., L)`` bit array is a ``(...)`` int64 array with
+    entries in ``[0, 2**L)``.  Bool and uint8 genes both work.
+    """
+    bits = np.asarray(bits)
+    depth = bits.shape[-1]
+    return (bits.reshape(-1, depth) @ _place_values(depth)).reshape(bits.shape[:-1])
+
+
+def unpack(codes: np.ndarray, depth: int) -> np.ndarray:
+    """Inverse of :func:`pack`: ``(...)`` codes -> ``(..., depth)`` uint8 genes."""
+    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(codes)[..., None] >> shifts) & 1).astype(np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _place_values(depth: int) -> np.ndarray:
+    """Read-only int64 weights 2**(depth-l) of genes l = 1..depth."""
+    place = np.left_shift(1, np.arange(depth - 1, -1, -1, dtype=np.int64))
+    place.flags.writeable = False
+    return place
+
+
+def decode_codes(codes: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """Map integer chromosome codes to reals on the symmetric grid.
+
+    Code ``u`` in ``[0, 2**L)`` decodes to ``R * (2*u + 1 - 2**L) / 2**L``.
+    ``2*u + 1 - 2**L`` is an exact int64 whose magnitude stays below
+    ``2**L``, so it converts to a double exactly while ``L <= 52`` (the
+    bound :class:`CodecConfig` enforces), and ``R / 2**L`` only rescales R
+    by a power of two: the product rounds once, like ``R * ((2*u + 1 -
+    2**L) / 2**L)``.  The output has the shape of ``codes``.
+    """
+    full = 1 << cfg.depth
+    return (2 * np.asarray(codes) + (1 - full)) * (cfg.half_range / full)
+
+
 def decode(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """Map 0/1 gene strings to reals on the symmetric grid.
 
     Gene ``l`` (1-based, most significant first) contributes
     ``+half_range / 2**l`` when set and ``-half_range / 2**l`` when clear, so
     an ``L``-bit string lands on one of ``2**L`` equally spaced values in
-    ``[-R(1 - 2**-L), +R(1 - 2**-L)]``.  Computed through the equivalent
-    integer form ``R * (2*u + 1 - 2**L) / 2**L`` (``u`` = the bits read as an
-    unsigned integer) so each output is a single correctly rounded multiple.
-
-    ``2*u`` is one float64 matrix-vector product of the flattened genes with
-    the place values ``2**(L-l)``, a single BLAS call.  It is exact in any
-    summation order: every partial sum is an integer below ``2**53`` while
-    ``L <= 52``, the bound :class:`CodecConfig` enforces.
+    ``[-R(1 - 2**-L), +R(1 - 2**-L)]``.  This is :func:`decode_codes` of the
+    :func:`pack`-ed genes, so a bit array and its code decode to the same
+    bits.
 
     The last axis is the chromosome; leading axes pass through, so a whole
     genome (or population of genomes) decodes in one call.
     """
     bits = np.asarray(bits)
-    depth = bits.shape[-1]
-    if depth != cfg.depth:
-        raise ValueError(f"chromosome length {depth} != codec depth {cfg.depth}")
-    full = 1 << depth
-    # 2*u + 1 - 2**L is exact, and R / 2**L only rescales R by a power of
-    # two, so the product rounds once, like R * ((2*u + 1 - 2**L) / 2**L)
-    flat = bits.reshape(-1, depth) @ _double_place_values(depth)
-    return (flat + (1 - full)).reshape(bits.shape[:-1]) * (cfg.half_range / full)
-
-
-@lru_cache(maxsize=None)
-def _double_place_values(depth: int) -> np.ndarray:
-    """Read-only float64 weights 2 * 2**(depth-1-l) of genes l = 0..depth-1."""
-    place = np.ldexp(1.0, np.arange(depth, 0, -1))
-    place.flags.writeable = False
-    return place
-
-
-def decode_vector(vec: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Decode one parameter vector: (d*d-1, depth) bits -> (d*d-1,) reals."""
-    vec = np.asarray(vec)
-    if vec.shape != (cfg.n_components, cfg.depth):
-        raise ValueError(
-            f"expected shape {(cfg.n_components, cfg.depth)}, got {vec.shape}"
-        )
-    return decode(vec, cfg)
+    if bits.shape[-1] != cfg.depth:
+        raise ValueError(f"chromosome length {bits.shape[-1]} != codec depth {cfg.depth}")
+    return decode_codes(pack(bits), cfg)
 
 
 def encode_nearest(values: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -127,14 +143,7 @@ def encode_nearest(values: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     full = 1 << cfg.depth
     ints = np.rint((x / cfg.half_range * full - 1 + full) / 2.0).astype(np.int64)
-    ints = np.clip(ints, 0, full - 1)
-    shifts = np.arange(cfg.depth - 1, -1, -1, dtype=np.int64)
-    return ((ints[..., None] >> shifts) & 1).astype(np.uint8)
-
-
-def random_chromosome(rng: np.random.Generator, cfg: CodecConfig) -> np.ndarray:
-    """One chromosome of independent fair genes from the given stream."""
-    return rng.integers(0, 2, size=cfg.depth, dtype=np.uint8)
+    return unpack(np.clip(ints, 0, full - 1), cfg.depth)
 
 
 def random_genome(rng: np.random.Generator, cfg: CodecConfig, n_slots: int) -> np.ndarray:

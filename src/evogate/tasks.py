@@ -85,8 +85,9 @@ class CircuitTemplate:
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError(f"trainable indices must be 1..n without gaps, got {indices}")
 
-    @property
+    @cached_property
     def n_trainable(self) -> int:
+        """Number of trainable slots, counted once per template."""
         return sum(1 for s in self.slots if isinstance(s, TrainableSlot))
 
 

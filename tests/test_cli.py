@@ -170,6 +170,35 @@ def test_sweep_zero_seeds_fails(tmp_path):
     assert main(["sweep", "--seeds", "0", "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_rejected(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    assert main(["sweep", "--seeds", "2", "--workers", workers, "--out", str(out)]) == 1
+    assert f"config key 'workers' must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+    # a config file entry is checked the same way
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"workers = {workers}\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(conf), "--seeds", "2", "--out", str(out)]) == 1
+    assert "config key 'workers'" in capsys.readouterr().err
+
+
+def test_negative_horizon_is_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--seeds", "2", "--horizon", "-5", "--out", str(out)]) == 1
+    assert "config key 'horizon' must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_zero_seeds_is_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["reproduce", "fig6", "--seeds", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "config key 'seeds' must be >= 1, got 0" in captured.err
+    assert "runs succeeded" not in captured.out
+    assert not out.exists()
+
+
 def test_sweep_outputs_and_worker_determinism(tmp_path):
     args = ["sweep", "--npop", "16", "--seeds", "4", "--base-seed", "3"]
     out1 = tmp_path / "w1"

@@ -21,7 +21,7 @@ def make_config(n_pop=20, **kw):
 def random_population(n_pop, seed=0):
     rng = np.random.default_rng(seed)
     genomes = rng.integers(0, 2, size=(n_pop, 2, 3, 15), dtype=np.uint8)
-    return Population(genomes)
+    return Population(genome.pack(genomes))
 
 
 # ---------------------------------------------------------------- selection
@@ -94,14 +94,32 @@ def _reference_pairs(probs, n_pairs, rng):
     return pairs
 
 
-def _reference_generation(pop, cfg, streams):
-    """Children bred pair by pair, one call per pair and kid on each stream."""
-    masks = ga._segment_masks(cfg.codec.depth)
-    children = list(pop.genomes[: cfg.elitism])
+def _bool_segment_masks(depth):
+    """Swap masks of every cut pair 1 <= s <= e <= depth as bool gene rows."""
+    rows = []
+    for s in range(1, depth + 1):
+        for e in range(s, depth + 1):
+            row = np.zeros(depth, dtype=bool)
+            row[s - 1 : e] = True
+            rows.append(row)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("depth", range(1, 53))
+def test_segment_masks_are_the_packed_bool_table(depth):
+    masks = ga._segment_masks(depth)
+    assert masks.dtype == np.int64 and len(masks) == depth * (depth + 1) // 2
+    assert np.array_equal(masks, genome.pack(_bool_segment_masks(depth)))
+
+
+def _reference_generation(bits, cfg, streams):
+    """Children's bits bred pair by pair, one call per pair and kid on each stream."""
+    masks = _bool_segment_masks(cfg.codec.depth)
+    children = list(bits[: cfg.elitism])
     n_pairs = (cfg.n_pop - cfg.elitism + 1) // 2
     probs = ga.selection_probabilities(cfg.n_pop)
     for first, second in _reference_pairs(probs, n_pairs, streams.selection):
-        a, b = pop.genomes[first], pop.genomes[second]
+        a, b = bits[first], bits[second]
         swap = masks[streams.crossover.integers(0, len(masks), size=a.shape[:-1])]
         kids = [np.where(swap, b, a), np.where(swap, a, b)]
         if cfg.mutation_rate > 0:
@@ -109,6 +127,13 @@ def _reference_generation(pop, cfg, streams):
                     .astype(np.uint8) for k in kids]
         children.extend(kids)
     return np.stack(children[: cfg.n_pop])
+
+
+def _reference_evaluate(bits):
+    """Bits and fitness sorted by descending fitness, ties in order."""
+    fitness = tasks.population_fitness(TASK, genome.decode(bits, CODEC))
+    order = np.argsort(-fitness, kind="stable")
+    return bits[order], fitness[order]
 
 
 @pytest.mark.parametrize("n_pop", [2, 3, 10, 100, 401])
@@ -131,9 +156,10 @@ def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
         streams, ref = RngStreams.from_seed(elitism), RngStreams.from_seed(elitism)
         for _ in range(4):
             nxt = ga.next_generation(pop, cfg, TASK, streams)
-            want = ga.evaluate(Population(_reference_generation(pop, cfg, ref)), TASK, CODEC)
-            assert np.array_equal(nxt.genomes, want.genomes)
-            assert np.array_equal(nxt.fitness, want.fitness)
+            bits = genome.unpack(pop.genomes, CODEC.depth)
+            want_bits, want_fitness = _reference_evaluate(_reference_generation(bits, cfg, ref))
+            assert np.array_equal(genome.unpack(nxt.genomes, CODEC.depth), want_bits)
+            assert np.array_equal(nxt.fitness, want_fitness)
             for label in ga.STREAM_LABELS:
                 assert (getattr(streams, label).bit_generator.state
                         == getattr(ref, label).bit_generator.state)
@@ -143,12 +169,14 @@ def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
 # ------------------------------------------------------- crossover, mutation
 
 def _bred(genomes, cfg, seed, monkeypatch):
-    """Children of one generation in breeding order (pair-major, kid a first)."""
+    """Children's bits of one generation in breeding order (pair-major, kid a
+    first), bred from the given bits."""
     monkeypatch.setattr(ga, "evaluate", lambda pop, task, codec: pop)
     streams = RngStreams.from_seed(seed)
     pairs = ga.select_parents(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
-    nxt = ga.next_generation(Population(genomes, np.zeros(len(genomes))), cfg, TASK, streams)
-    return nxt.genomes, pairs, streams
+    pop = Population(genome.pack(genomes), np.zeros(len(genomes)))
+    nxt = ga.next_generation(pop, cfg, TASK, streams)
+    return genome.unpack(nxt.genomes, cfg.codec.depth), pairs, streams
 
 
 def test_crossover_identical_parents(monkeypatch):
@@ -208,9 +236,9 @@ def test_mutate_zero_rate_is_identity():
 def test_mutate_full_rate_is_complement():
     g = np.random.default_rng(1).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
     cfg = make_config(n_pop=6, mutation_rate=1.0)
-    pop = ga.evaluate(Population(np.repeat(g, 6, axis=0)), TASK, CODEC)
+    pop = ga.evaluate(Population(genome.pack(np.repeat(g, 6, axis=0))), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
-    assert np.array_equal(nxt.genomes, np.repeat(1 - g, 6, axis=0))
+    assert np.array_equal(genome.unpack(nxt.genomes, CODEC.depth), np.repeat(1 - g, 6, axis=0))
 
 
 def test_mutate_flip_fraction(monkeypatch):
@@ -230,12 +258,12 @@ def test_mutate_rejects_bad_rate():
 # ------------------------------------------------------------- fluctuation
 
 def test_fluctuation_uniform_population():
-    pop = Population(np.zeros((4, 1, 3, 5), dtype=np.uint8), np.full(4, 0.7))
+    pop = Population(np.zeros((4, 1, 3), dtype=np.int64), np.full(4, 0.7))
     assert ga.fitness_fluctuation(pop) == 0.0
 
 
 def test_fluctuation_extreme_split():
-    pop = Population(np.zeros((2, 1, 3, 5), dtype=np.uint8), np.array([1.0, 0.0]))
+    pop = Population(np.zeros((2, 1, 3), dtype=np.int64), np.array([1.0, 0.0]))
     assert ga.fitness_fluctuation(pop) == 0.5
 
 
@@ -243,7 +271,7 @@ def test_fluctuation_bounded():
     rng = np.random.default_rng(6)
     for _ in range(100):
         f = rng.uniform(0, 1, size=rng.integers(2, 30))
-        pop = Population(np.zeros((f.size, 1, 3, 5), dtype=np.uint8), f)
+        pop = Population(np.zeros((f.size, 1, 3), dtype=np.int64), f)
         assert 0.0 <= ga.fitness_fluctuation(pop) <= 0.5
 
 
@@ -259,7 +287,7 @@ def test_evaluate_scores_known_genomes():
     p_h = (np.pi / 2) * np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
     near_h = np.stack([genome.encode_nearest(p_h, CODEC)] * 2)
     near_id = np.stack([genome.encode_nearest(np.zeros(3), CODEC)] * 2)
-    pop = ga.evaluate(Population(np.stack([near_id, near_h])), TASK, CODEC)
+    pop = ga.evaluate(Population(genome.pack(np.stack([near_id, near_h]))), TASK, CODEC)
     bound = genome.rounding_error_bound(CODEC, 2)
     assert pop.fitness[0] >= 1.0 - bound  # near-perfect solution ranks first
     assert abs(pop.fitness[1] - 0.5) <= 1e-3  # near-identity cannot see balance
@@ -285,7 +313,7 @@ def test_next_generation_size(n_pop):
 
 def test_next_generation_homogeneous_fixed_point():
     g = np.random.default_rng(10).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
-    genomes = np.repeat(g, 6, axis=0)
+    genomes = genome.pack(np.repeat(g, 6, axis=0))
     cfg = make_config(n_pop=6)
     pop = ga.evaluate(Population(genomes), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
@@ -346,6 +374,8 @@ def test_run_series_are_bounded():
     assert np.all((record.fluctuation >= 0) & (record.fluctuation <= 0.5))
     assert 0.0 <= record.epsilon_opt <= 1.0
     assert record.best_fitness == record.best_fitness_series[-1]
+    # the record carries bits, not codes: (slots, components, depth) uint8
+    assert record.best_genome.dtype == np.uint8 and record.best_genome.shape == (2, 3, 15)
 
 
 def test_run_deutsch_terminates_quickly():

@@ -58,10 +58,31 @@ def test_decode_matches_reference_bit_for_bit(depth):
         strided = bits[::3, :, ::-1]  # non-contiguous leading axes
         reversed_genes = bits[5, 0, 1, ::-1]  # 1-D, negative stride
         for b in (bits, edges, bits[:1], bits[0, 1, 2], strided, reversed_genes, edges[1]):
-            got = np.asarray(genome.decode(b, cfg))
             want = np.asarray(reference_decode(b, cfg))
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            codes = genome.pack(b)
+            assert np.array_equal(genome.unpack(codes, depth), b)
+            for got in (genome.decode(b, cfg), genome.decode_codes(codes, cfg)):
+                got = np.asarray(got)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("depth", range(1, 53))
+def test_pack_unpack_round_trip(depth):
+    rng = np.random.default_rng(100 + depth)
+    bits = rng.integers(0, 2, size=(7, 2, 3, depth), dtype=np.uint8)
+    top = np.ones(depth, np.uint8)
+    for b in (bits, bits[::2, :, ::-1], bits[3, 1, ::-1], top, np.zeros((2, depth), np.uint8)):
+        codes = genome.pack(b)
+        assert codes.dtype == np.int64 and codes.shape == b.shape[:-1]
+        assert np.all((0 <= codes) & (codes < 2**depth))
+        assert np.array_equal(genome.unpack(codes, depth), b)
+    # gene 1 is the most significant bit
+    assert genome.pack(top) == 2**depth - 1
+    first = np.zeros(depth, np.uint8)
+    first[0] = 1
+    assert genome.pack(first) == 2 ** (depth - 1)
+    assert np.array_equal(genome.pack(bits.astype(bool)), genome.pack(bits))
 
 
 def all_codes(depth):
@@ -111,14 +132,11 @@ def test_encode_nearest_clips_out_of_range():
     assert np.array_equal(bottom, np.zeros(4, dtype=np.uint8))
 
 
-def test_decode_vector_shape_checks():
+def test_decode_rejects_wrong_depth():
     cfg = CodecConfig(depth=5, dim=2)
-    vec = np.zeros((3, 5), dtype=np.uint8)
-    values = genome.decode_vector(vec, cfg)
+    values = genome.decode(np.zeros((3, 5), dtype=np.uint8), cfg)
     assert values.shape == (3,)
     assert np.all(values == -cfg.half_range * (1 - 2.0**-5))
-    with pytest.raises(ValueError):
-        genome.decode_vector(np.zeros((2, 5), dtype=np.uint8), cfg)
     with pytest.raises(ValueError):
         genome.decode(np.zeros(4, dtype=np.uint8), cfg)
 
@@ -129,14 +147,12 @@ def test_random_generation_is_reproducible():
     b = genome.random_genome(np.random.default_rng(42), cfg, n_slots=2)
     assert np.array_equal(a, b)
     assert a.shape == (2, 3, 15)
-    c = genome.random_chromosome(np.random.default_rng(42), cfg)
-    assert c.shape == (15,)
 
 
 def test_random_genes_are_balanced():
+    # 3334 slots x 3 components x 10 genes: 100,020 genes
     cfg = CodecConfig(depth=10)
-    rng = np.random.default_rng(1)
-    bits = np.concatenate([genome.random_chromosome(rng, cfg) for _ in range(10_000)])
+    bits = genome.random_genome(np.random.default_rng(1), cfg, n_slots=3334)
     frac = bits.mean()
     assert 0.495 <= frac <= 0.505
 

@@ -48,6 +48,28 @@ CASES = {
         "1a0d0c1a70370803cdbdcb71bf5c5c5ee54d34594a9f787709885dcc849ddf6b",
         "d8792e22b10c9c53359893daef952a9d428add0cd31cfaf94fc9a2914d37e48a",
     ),
+    # the shortest chromosome: one gene, one cut pair, values +-R/2
+    "depth1-mutation-elitism": (
+        ["--depth", "1", "--npop", "10", "--mutation", "0.05", "--elitism", "1",
+         "--seeds", "6", "--base-seed", "11", "--max-gen", "40"],
+        "b6546fd8b23e319112b1851d4182f9956751ee52293933b3660ba613e5d91538",
+        "8cfcf9d5aa76249dae22a433e5e1b7c07439c1be04c8d86054af2735e7aa84bb",
+    ),
+    # the deepest exact grid: codes up to 2**52 - 1, 1378 cut pairs
+    "depth52-mutation-elitism": (
+        ["--depth", "52", "--npop", "12", "--mutation", "0.01", "--elitism", "1",
+         "--seeds", "4", "--base-seed", "13", "--max-gen", "60"],
+        "177e51cd90d847f5b36c9666d680eb92d67929aeb10c6ebf85a2ef614b531bde",
+        "dca145153a36c8694f9d6a515882b57ce6ca0540a03fdaa804d2ee9f71410350",
+    ),
+    # the paper's scale with an odd bred count (101 - 2 = 99): 50 pairs, the
+    # last kid b discarded after its mutation draws
+    "npop101-mutation-elitism": (
+        ["--npop", "101", "--mutation", "1e-3", "--elitism", "2", "--seeds", "3",
+         "--base-seed", "17", "--max-gen", "80"],
+        "324a660dc1b202c4ed0910ec09cd4fa796f1be944c01678c65547a86a0820427",
+        "f50616df9ac5b0b4100afd1a1a250759fdd2f69f609c59b5f2f5d31cdb9e3954",
+    ),
 }
 
 
