@@ -72,6 +72,15 @@ class FitResult:
     converged: bool
     n_iter: int
 
+    @property
+    def identified(self) -> bool:
+        """Whether the data pin down a decay: ``b > 0``, all three standard
+        errors finite and ``b_err < b``.  A converged fit can still fail
+        this, e.g. on data whose eps spread is too narrow to resolve ``b``."""
+        errs = (self.a_err, self.b_err, self.c_err)
+        return (self.b > 0 and all(math.isfinite(e) for e in errs)
+                and self.b_err < self.b)
+
 
 @dataclass(frozen=True)
 class EnsembleStats:

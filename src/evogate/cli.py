@@ -8,7 +8,7 @@ pipelines).  Settings come from built-in defaults, then an optional flat
 echoed to stdout and into every output file's metadata block.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with flags
-(generation-cap stop or a non-converged fit).
+(generation-cap stop, or a fit that did not converge or is not identified).
 """
 
 from __future__ import annotations
@@ -282,7 +282,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK if n_ok > 0 else EXIT_ERROR
 
 
+def _fit_status(fit) -> tuple[str, str]:
+    return ("converged" if fit.converged else "NOT converged",
+            "identified" if fit.identified else "NOT identified")
+
+
 def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
+    if bins < 0:
+        raise ValueError(f"--bins must be >= 0, got {bins}")
     eps, q = files.read_points_csv(input_path)
     if bins > 0:
         eps, q = analysis.quantile_bins(eps, q, bins)
@@ -290,13 +297,13 @@ def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     meta = cfg.metadata(bins=bins, n_points=len(eps), source=os.path.basename(input_path))
     files.write_fit_csv(os.path.join(cfg.out, "fit.csv"), fit, meta)
-    status = "converged" if fit.converged else "NOT converged"
+    converged, identified = _fit_status(fit)
     print(
-        f"fit: {status} after {fit.n_iter} iterations: "
+        f"fit: {converged} after {fit.n_iter} iterations, {identified}: "
         f"a = {fit.a:.4g} +- {fit.a_err:.2g}, b = {fit.b:.4g} +- {fit.b_err:.2g}, "
         f"c = {fit.c:.4g} +- {fit.c_err:.2g}"
     )
-    return EXIT_OK if fit.converged else EXIT_FLAGGED
+    return EXIT_OK if fit.converged and fit.identified else EXIT_FLAGGED
 
 
 def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
@@ -340,7 +347,10 @@ def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
             files.write_fit_csv(
                 os.path.join(cfg.out, f"fig7_npop{npop}_fit.csv"), fit, local_meta
             )
-            if not fit.converged:
+            converged, identified = _fit_status(fit)
+            print(f"{figure}: npop={npop}: fit {converged}, {identified}: "
+                  f"b = {fit.b:.4g} +- {fit.b_err:.2g}, c = {fit.c:.4g} +- {fit.c_err:.2g}")
+            if not (fit.converged and fit.identified):
                 worst = max(worst, EXIT_FLAGGED)
     else:
         print(f"error: unknown figure {figure!r}", file=sys.stderr)

@@ -38,6 +38,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here puts the load in the CLI
+# parent, which forked pool workers share, not in each worker's first run
+from numpy.random import PCG64, Generator, SeedSequence
 
 from . import genome as genome_mod
 from .genome import CodecConfig
@@ -66,17 +69,17 @@ TERMINATED_CAP = "generation-cap"
 class RngStreams:
     """The four labeled random streams of one run."""
 
-    init: np.random.Generator
-    selection: np.random.Generator
-    crossover: np.random.Generator
-    mutation: np.random.Generator
+    init: Generator
+    selection: Generator
+    crossover: Generator
+    mutation: Generator
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngStreams":
         # stream k uses PCG64 seeded by SeedSequence(seed, spawn_key=(k,)),
         # k following STREAM_LABELS order; ports must match this derivation
         gens = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+            Generator(PCG64(SeedSequence(seed, spawn_key=(k,))))
             for k in range(len(STREAM_LABELS))
         ]
         return cls(*gens)
@@ -205,7 +208,7 @@ def _rank_bounds(n_pop: int) -> np.ndarray:
     return bounds
 
 
-def select_parents(n_pop: int, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
     """Ranks of ``n_pairs`` parent pairs under rank selection, shape ``(n_pairs, 2)``.
 
     Each pair is a first rank and a second rank redrawn until it differs

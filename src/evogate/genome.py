@@ -50,7 +50,8 @@ class CodecConfig:
     decoded grid has ``2**depth`` points with spacing
     ``half_range * 2**(1 - depth)``, symmetric about zero.  ``depth`` runs
     from 1 to :data:`MAX_DEPTH` (52), where the grid is still exact in
-    double precision.
+    double precision; ``half_range`` must keep ``3 * half_range**2`` finite
+    (below about 7.7e153).
     """
 
     depth: int
@@ -60,8 +61,10 @@ class CodecConfig:
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
-        if not self.half_range > 0:
-            raise ValueError(f"half_range must be positive, got {self.half_range}")
+        # 3 * half_range**2 bounds the squared norm that su2_closed_form forms
+        if not (self.half_range > 0 and math.isfinite(3 * self.half_range * self.half_range)):
+            raise ValueError("half_range must be positive with 3 * half_range**2 finite, "
+                             f"got {self.half_range}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -273,6 +274,23 @@ def test_fit_flags_unidentifiable_data():
     q = np.array([20.0, 17.0, 23.0, 19.0])
     fit = fit_exponential(eps, q)  # must not raise
     assert not fit.converged
+    assert not fit.identified
+
+
+def test_fit_identified():
+    eps = np.linspace(0.0, 0.2, 25)
+    clean = fit_exponential(eps, model(eps))
+    assert clean.identified
+    # a rising curve fits exactly, but b < 0 is no decay
+    rising = fit_exponential(eps, model(eps, b=-5.0))
+    assert rising.converged and abs(rising.b + 5.0) <= 1e-6
+    assert not rising.identified
+    assert not dataclasses.replace(clean, b=0.0).identified
+    for name in ("a_err", "b_err", "c_err"):
+        assert not dataclasses.replace(clean, **{name: math.nan}).identified
+    assert not dataclasses.replace(clean, c_err=math.inf).identified
+    assert not dataclasses.replace(clean, b_err=clean.b).identified
+    assert dataclasses.replace(clean, b_err=0.99 * clean.b).identified
 
 
 def test_fit_precondition_errors():

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evogate
 from evogate import files, genome
 from evogate.cli import main
 
@@ -153,6 +159,15 @@ def test_run_rejects_depth_beyond_exact_grid(tmp_path, capsys, depth):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("half_range", ["inf", "1e308"])
+def test_run_rejects_half_range_whose_squares_overflow(tmp_path, capsys, half_range):
+    out = tmp_path / "wide"
+    rc = main(["run", "--half-range", half_range, "--npop", "4", "--out", str(out)])
+    assert rc == 1
+    assert "half_range must be positive with 3 * half_range**2 finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_accepts_task_file(tmp_path):
     from evogate import tasks
 
@@ -278,7 +293,7 @@ def write_points(path, eps, q, eps_col="epsilon", q_col="q"):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_fit_recovers_synthetic_model(tmp_path):
+def test_fit_recovers_synthetic_model(tmp_path, capsys):
     eps = np.linspace(0.0, 0.2, 30)
     q = 16.0 * np.exp(-22.0 * eps) + 15.0
     src = tmp_path / "points.csv"
@@ -286,6 +301,7 @@ def test_fit_recovers_synthetic_model(tmp_path):
     out = tmp_path / "fit_out"
     rc = main(["fit", str(src), "--bins", "0", "--out", str(out)])
     assert rc == 0
+    assert ", identified: a = " in capsys.readouterr().out
     meta, header, rows = read_table(out / "fit.csv")
     assert header == ["a", "b", "c", "a_err", "b_err", "c_err", "rss", "converged"]
     row = rows[0]
@@ -309,6 +325,29 @@ def test_fit_applies_quantile_binning(tmp_path):
     assert meta["bins"] == "20"
     assert meta["n_points"] == "20"
     assert abs(float(rows[0]["b"]) - 22.0) <= 3.0
+
+
+def test_fit_flags_unidentified_decay(tmp_path, capsys):
+    # a rising curve fits exactly (converged) with b = -5: no decay rate
+    eps = np.linspace(0.0, 0.2, 30)
+    src = tmp_path / "rising.csv"
+    write_points(src, eps, 16.0 * np.exp(5.0 * eps) + 15.0)
+    out = tmp_path / "fit_rising"
+    assert main(["fit", str(src), "--bins", "0", "--out", str(out)]) == 2
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("fit: converged after") and ", NOT identified: " in line
+    _, _, rows = read_table(out / "fit.csv")
+    assert rows[0]["converged"] == "1"
+    assert abs(float(rows[0]["b"]) + 5.0) <= 1e-6
+
+
+def test_fit_rejects_negative_bins(tmp_path, capsys):
+    src = tmp_path / "points.csv"
+    write_points(src, np.linspace(0.0, 0.2, 30), np.linspace(30.0, 15.0, 30))
+    out = tmp_path / "o"
+    assert main(["fit", str(src), "--bins", "-3", "--out", str(out)]) == 1
+    assert "--bins must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_too_few_points(tmp_path):
@@ -405,3 +444,31 @@ def test_read_points_requires_known_columns(tmp_path):
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
         files.read_points_csv(bad)
+
+
+# ----------------------------------------------------------- import hygiene
+
+def test_a_run_imports_nothing(tmp_path):
+    # Forked pool workers share whatever the CLI parent imported; a module
+    # first loaded inside a run costs every worker its load in its first
+    # run.  This test's own process has loaded them all, so ask a fresh one.
+    script = textwrap.dedent("""
+        import contextlib, io, json, os, sys
+        from evogate import cli, ga
+        before = set(sys.modules)
+        task = cli.resolve_task("deutsch")
+        ga.run(cli.make_ga_config(cli.ExperimentConfig(npop=6, max_gen=5), task), task, 1)
+        out = sys.argv[1]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["sweep", "--npop", "6", "--seeds", "8", "--max-gen", "5",
+                               "--workers", "1", "--out", out]),
+                     cli.main(["fit", os.path.join(out, "runs.csv"), "--bins", "4",
+                               "--out", out])]
+        print(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - before)}))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(evogate.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"][0] == 0 and result["codes"][1] in (0, 2), result
+    assert result["new"] == [], f"imported during a run: {result['new']}"

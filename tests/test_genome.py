@@ -182,6 +182,15 @@ def test_codec_validation():
         CodecConfig(depth=3, dim=1)
 
 
+def test_codec_rejects_half_range_whose_squares_overflow():
+    # su2_closed_form adds three squared components: inf there made every
+    # fitness NaN and a run went to its generation cap
+    CodecConfig(depth=15, half_range=7.7e153)
+    for half_range in (math.inf, 1e308, 7.8e153, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="half_range"):
+            CodecConfig(depth=15, half_range=half_range)
+
+
 def test_string_serialization_round_trip():
     rng = np.random.default_rng(6)
     g = rng.integers(0, 2, size=(2, 3, 15), dtype=np.uint8)
