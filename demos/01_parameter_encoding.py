@@ -14,7 +14,6 @@ from evogate.genome import (
     decode_codes,
     encode_nearest,
     pack,
-    random_genome,
     rounding_error_bound,
     unpack,
 )
@@ -45,6 +44,8 @@ deep = CodecConfig(depth=15)
 print(f"\nat depth 15 the rounding-error scale for two trainable unitaries is "
       f"{rounding_error_bound(deep, n_slots=2):.2e}")
 
-g = random_genome(np.random.default_rng(42), deep, n_slots=2)
+# two slots of three fair-coin chromosomes each
+g = np.random.default_rng(42).integers(0, 2, size=(2, deep.n_components, deep.depth),
+                                       dtype=np.uint8)
 print(f"a random genome is a {g.shape} bit array; decoded parameters:")
 print(np.array2string(decode(g, deep), precision=4))

@@ -13,7 +13,7 @@ from evogate.analysis import bloch_decompose
 
 print("generator bases (traceless, Hermitian, Tr(s_a s_b) = 2 delta_ab):")
 for d in (2, 3, 4):
-    gens = linalg.gell_mann_generators(d)
+    gens = linalg.generator_stack(d)
     gram_ok = all(
         abs(np.trace(a @ b) - (2.0 if i == j else 0.0)) < 1e-13
         for i, a in enumerate(gens)
@@ -41,8 +41,6 @@ gap = np.max(np.abs(linalg.su2_closed_form(sample) - linalg.unitary_from_params(
 print(f"\nclosed form vs eigendecomposition over {len(sample)} samples: "
       f"max difference {gap:.2e}")
 
-unitarity = np.max(np.abs(
-    linalg.su2_closed_form(sample[:1000]) @ linalg.dagger(linalg.su2_closed_form(sample[:1000]))
-    - np.eye(2)
-))
+batch = linalg.su2_closed_form(sample[:1000])
+unitarity = np.max(np.abs(batch @ batch.conj().swapaxes(-1, -2) - np.eye(2)))
 print(f"worst unitarity defect in a 1000-sample batch: {unitarity:.2e}")

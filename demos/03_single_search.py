@@ -39,7 +39,7 @@ ps = analysis.prepared_state(u_first, task.initial_state)
 print(f"\nstate after the first unitary: alpha = {ps.alpha:.4f} "
       f"(equator is 1/sqrt(2) = {1 / np.sqrt(2):.4f}), phase = {ps.phi:+.4f} rad")
 print("balanced-superposition condition met:",
-      analysis.balance_condition_check(ps, tol=0.02))
+      abs(ps.alpha - 1 / np.sqrt(2)) <= 0.02)
 
 outs = [
     tasks.compose_total(task, record.best_genome, codec, label) @ task.initial_state

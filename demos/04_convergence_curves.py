@@ -22,7 +22,7 @@ curves = {}
 for n_pop in (10, 50, 100):
     config = GAConfig(n_pop=n_pop, threshold=1e-4, codec=codec, n_slots=2)
     records = [run(config, task, seed) for seed in range(1, SEEDS + 1)]
-    mean, std = analysis.mean_fitness_curves(records, HORIZON)
+    mean, std, _ = analysis.ensemble_stats(records, HORIZON)
     curves[n_pop] = (mean, std)
     q_c = np.array([r.q_c for r in records])
     print(f"n_pop={n_pop:3d}: generations to terminate {q_c.min()}-{q_c.max()} "

@@ -38,7 +38,7 @@ print(f"alpha: mean {alphas.mean():.4f}, spread {alphas.std():.4f} "
 print(f"phi:   spans [{phis.min():+.3f}, {phis.max():+.3f}] rad "
       f"-- essentially arbitrary")
 
-on_equator = sum(analysis.balance_condition_check(s, tol=0.02) for s in states)
+on_equator = int(np.sum(np.abs(alphas - 1 / np.sqrt(2)) <= 0.02))
 print(f"balance condition |alpha - 1/sqrt(2)| <= 0.02: {on_equator}/{len(states)} runs")
 
 print("\nalpha histogram (each * is one run):")

@@ -12,15 +12,12 @@ from .linalg import generator_stack
 
 __all__ = [
     "BlochDecomposition",
-    "EnsembleStats",
     "FitResult",
     "PreparedState",
-    "balance_condition_check",
     "bloch_decompose",
     "ensemble_stats",
     "fit_exponential",
     "hold_last",
-    "mean_fitness_curves",
     "prepared_state",
     "quantile_bins",
 ]
@@ -82,26 +79,6 @@ class FitResult:
                 and self.b_err < self.b)
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Cross-run statistics.
-
-    Per-generation arrays are indexed from generation 1; ``counts[g]`` is the
-    number of runs that lasted at least ``g+1`` generations (shorter runs drop
-    out of later samples).  Alpha statistics summarize the supplied prepared
-    states; the histogram counts runs per termination generation.
-    """
-
-    mean_fitness: np.ndarray
-    std_fitness: np.ndarray
-    counts: np.ndarray
-    alpha_mean: float
-    alpha_std: float
-    n_alpha: int
-    qc_values: np.ndarray
-    qc_counts: np.ndarray
-
-
 def _check_unitary_2x2(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -154,11 +131,6 @@ def prepared_state(u1: np.ndarray, psi_in: np.ndarray) -> PreparedState:
     return PreparedState(alpha=alpha, phi=phi, degenerate=False)
 
 
-def balance_condition_check(ps: PreparedState, tol: float) -> bool:
-    """Is the prepared state within ``tol`` of the equal-weight equator?"""
-    return abs(ps.alpha - 1.0 / math.sqrt(2.0)) <= tol
-
-
 def hold_last(series: np.ndarray, horizon: int) -> np.ndarray:
     """Extend a per-generation series to ``horizon`` entries by repeating the
     final value (a terminated run keeps reporting its settled fitness)."""
@@ -170,51 +142,33 @@ def hold_last(series: np.ndarray, horizon: int) -> np.ndarray:
     return np.concatenate([s, np.full(horizon - s.size, s[-1])])
 
 
-def mean_fitness_curves(records, horizon: int):
-    """Ensemble mean and standard deviation of the mean-fitness curves,
-    holding each run's last value out to ``horizon`` generations."""
-    if not records:
-        raise ValueError("need at least one run")
-    m = np.stack([hold_last(r.mean_fitness, horizon) for r in records])
-    return m.mean(axis=0), m.std(axis=0)
+def ensemble_stats(records, horizon: int = 0):
+    """Per-generation ``(mean, std, counts)`` of the runs' mean-fitness
+    curves, indexed from generation 1.
 
-
-def ensemble_stats(records, analyses=()) -> EnsembleStats:
-    """Aggregate many runs (and optionally their prepared states).
-
-    Statistics are permutation-invariant in the record order.
+    With ``horizon`` 0 a run drops out after its last generation:
+    ``counts[g]`` is the number of runs that lasted at least ``g+1``
+    generations, and each generation reduces its values in sorted order, so
+    the statistics are permutation-invariant in the record order bit for
+    bit.  With ``horizon`` > 0 every run holds its last value out to
+    ``horizon`` generations (:func:`hold_last`) and counts once per row.
     """
     records = list(records)
     if not records:
         raise ValueError("need at least one run record")
+    if horizon > 0:
+        m = np.stack([hold_last(r.mean_fitness, horizon) for r in records])
+        return m.mean(axis=0), m.std(axis=0), np.full(horizon, len(records), dtype=np.int64)
     g_max = max(r.q_c for r in records)
     mean = np.empty(g_max)
     std = np.empty(g_max)
     counts = np.empty(g_max, dtype=np.int64)
     for g in range(g_max):
-        # sorted reduction keeps the statistics permutation-invariant bit for bit
         vals = np.sort([r.mean_fitness[g] for r in records if r.q_c > g])
         counts[g] = vals.size
         mean[g] = vals.mean()
         std[g] = vals.std()
-    alphas = np.sort([ps.alpha for ps in analyses])
-    if alphas.size:
-        alpha_mean = float(alphas.mean())
-        alpha_std = float(alphas.std())
-    else:
-        alpha_mean = math.nan
-        alpha_std = math.nan
-    qc_values, qc_counts = np.unique([r.q_c for r in records], return_counts=True)
-    return EnsembleStats(
-        mean_fitness=mean,
-        std_fitness=std,
-        counts=counts,
-        alpha_mean=alpha_mean,
-        alpha_std=alpha_std,
-        n_alpha=int(alphas.size),
-        qc_values=qc_values,
-        qc_counts=qc_counts,
-    )
+    return mean, std, counts
 
 
 def quantile_bins(eps: np.ndarray, q: np.ndarray, n_bins: int = 20):

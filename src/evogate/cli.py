@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,15 +33,14 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 2
 
-_INT_KEYS = ("npop", "depth", "elitism", "max_gen", "seeds", "base_seed", "horizon", "workers")
-_FLOAT_KEYS = ("half_range", "threshold", "mutation")
-# remaining keys (task, out) stay strings
-
 # lower bounds of the integer keys that no library config checks
-_INT_MINIMUMS = {"seeds": 1, "horizon": 0, "workers": 1}
+_INT_MINIMUMS = {"seeds": 1, "base_seed": 0, "horizon": 0, "workers": 1}
 
 # execution-context fields; everything else is echoed into output metadata
 _CONTEXT_KEYS = ("out", "workers")
+
+# the populations each canned figure sweeps unless --npop names one
+_FIGURE_NPOPS = {"fig5": [10, 50, 100], "fig6": [100], "fig7": [100, 200, 300, 400]}
 
 
 @dataclass
@@ -74,14 +73,11 @@ class ExperimentConfig:
 
 
 def _coerce(key: str, value: str):
+    """A config-file value parsed as the type of the key's default."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return type(getattr(ExperimentConfig, key))(value)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {value!r}") from exc
-    return value
 
 
 def load_config(config_path, flag_values: dict):
@@ -140,11 +136,6 @@ def _echo_config(cfg: ExperimentConfig) -> None:
     print(f"# evogate {__version__}")
     for f in fields(cfg):
         print(f"{f.name} = {files.fmt(getattr(cfg, f.name))}")
-
-
-def _prepared_state_of(record, task, codec):
-    params = genome_mod.decode(record.best_genome, codec)
-    return analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
 
 
 def _analysis_payload(record, task, ga_cfg) -> dict:
@@ -230,56 +221,51 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return EXIT_OK if record.termination_reason == "converged" else EXIT_FLAGGED
 
 
-def _write_sweep_outputs(cfg, task, ga_cfg, results, out_dir, prefix="") -> int:
-    """Write runs/stats/alpha-phi tables; returns the number of successes."""
-    records = [(i, r) for i, (status, r) in enumerate(results) if status == "ok"]
-    failures = [(i, r) for i, (status, r) in enumerate(results) if status != "ok"]
-    meta = cfg.metadata()
-
-    runs_rows = []
-    for i, (status, payload) in enumerate(results):
-        if status == "ok":
-            runs_rows.append(
-                (i, payload.seed, payload.q_c, payload.epsilon_opt, payload.best_fitness,
-                 payload.termination_reason, genome_mod.genome_to_field(payload.best_genome))
-            )
-        else:
-            runs_rows.append((i, cfg.base_seed + i, 0, math.nan, math.nan, "error", ""))
-    files.write_runs_csv(os.path.join(out_dir, f"{prefix}runs.csv"), runs_rows, meta)
-
-    if records:
-        recs = [r for _, r in records]
-        if cfg.horizon > 0:
-            mean, std = analysis.mean_fitness_curves(recs, cfg.horizon)
-            counts = np.full(cfg.horizon, len(recs), dtype=np.int64)
-        else:
-            stats = analysis.ensemble_stats(recs)
-            mean, std, counts = stats.mean_fitness, stats.std_fitness, stats.counts
-        files.write_stats_csv(
-            os.path.join(out_dir, f"{prefix}stats.csv"),
-            range(1, len(mean) + 1), mean, std, counts, meta,
-        )
-        if task.dim == 2:
-            rows = []
-            for i, rec in records:
-                ps = _prepared_state_of(rec, task, ga_cfg.codec)
-                rows.append((i, ps.alpha, ps.phi, rec.epsilon_opt))
-            files.write_alpha_phi_csv(os.path.join(out_dir, f"{prefix}alpha_phi.csv"), rows, meta)
-
-    for _, message in failures:
-        print(f"warning: {message}", file=sys.stderr)
-    return len(records)
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    task = resolve_task(cfg.task)
+def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
+    """Run ``cfg.seeds`` seeds from ``cfg.base_seed`` and write the runs,
+    stats and (for qubit tasks) alpha-phi tables to ``cfg.out``, each name
+    led by ``prefix``.  A failed run gets an ``error`` row and a stderr
+    warning; returns the records of the runs that succeeded, in seed order."""
     ga_cfg = make_ga_config(cfg, task)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
     results = run_many(ga_cfg, task, seeds, cfg.workers)
     os.makedirs(cfg.out, exist_ok=True)
-    n_ok = _write_sweep_outputs(cfg, task, ga_cfg, results, cfg.out)
-    print(f"sweep: {n_ok}/{cfg.seeds} runs succeeded, results in {cfg.out}")
-    return EXIT_OK if n_ok > 0 else EXIT_ERROR
+    meta = cfg.metadata()
+
+    def path(name):
+        return os.path.join(cfg.out, prefix + name)
+
+    rows, records = [], []
+    for i, (status, rec) in enumerate(results):
+        if status == "ok":
+            records.append(rec)
+            rows.append((i, rec.seed, rec.q_c, rec.epsilon_opt, rec.best_fitness,
+                         rec.termination_reason, genome_mod.genome_to_field(rec.best_genome)))
+        else:
+            rows.append((i, seeds[i], 0, math.nan, math.nan, "error", ""))
+    files.write_runs_csv(path("runs.csv"), rows, meta)
+
+    if records:
+        mean, std, counts = analysis.ensemble_stats(records, cfg.horizon)
+        files.write_stats_csv(path("stats.csv"), range(1, len(mean) + 1), mean, std, counts, meta)
+        if task.dim == 2:
+            rows = []
+            for rec in records:
+                params = genome_mod.decode(rec.best_genome, ga_cfg.codec)
+                ps = analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
+                rows.append((rec.seed - cfg.base_seed, ps.alpha, ps.phi, rec.epsilon_opt))
+            files.write_alpha_phi_csv(path("alpha_phi.csv"), rows, meta)
+
+    for status, message in results:
+        if status != "ok":
+            print(f"warning: {message}", file=sys.stderr)
+    return records
+
+
+def cmd_sweep(cfg: ExperimentConfig) -> int:
+    records = _sweep(cfg, resolve_task(cfg.task))
+    print(f"sweep: {len(records)}/{cfg.seeds} runs succeeded, results in {cfg.out}")
+    return EXIT_OK if records else EXIT_ERROR
 
 
 def _fit_status(fit) -> tuple[str, str]:
@@ -307,54 +293,42 @@ def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
 
 
 def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
+    if figure not in _FIGURE_NPOPS:
+        print(f"error: unknown figure {figure!r}", file=sys.stderr)
+        return EXIT_ERROR
     if "seeds" not in explicit:
         cfg.seeds = 1000
     task = resolve_task(cfg.task)
     os.makedirs(cfg.out, exist_ok=True)
     worst = EXIT_OK
 
-    def sweep_with(npop: int, horizon: int, prefix: str) -> list:
-        local = ExperimentConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg)})
-        local.npop = npop
-        local.horizon = horizon
-        ga_cfg = make_ga_config(local, task)
-        seeds = range(local.base_seed, local.base_seed + local.seeds)
-        results = run_many(ga_cfg, task, seeds, local.workers)
-        n_ok = _write_sweep_outputs(local, task, ga_cfg, results, local.out, prefix=prefix)
-        print(f"{figure}: npop={npop}: {n_ok}/{local.seeds} runs succeeded")
-        if n_ok == 0:
+    npops = [cfg.npop] if "npop" in explicit else _FIGURE_NPOPS[figure]
+    horizon = 100 if figure == "fig5" and "horizon" not in explicit else cfg.horizon
+    for npop in npops:
+        prefix = "fig6_" if figure == "fig6" else f"{figure}_npop{npop}_"
+        records = _sweep(replace(cfg, npop=npop, horizon=horizon), task, prefix)
+        print(f"{figure}: npop={npop}: {len(records)}/{cfg.seeds} runs succeeded")
+        if not records:
             raise RuntimeError(f"all runs failed for npop={npop}")
-        return [r for status, r in results if status == "ok"]
-
-    if figure == "fig5":
-        npops = [cfg.npop] if "npop" in explicit else [10, 50, 100]
-        horizon = cfg.horizon if "horizon" in explicit else 100
-        for npop in npops:
-            sweep_with(npop, horizon, prefix=f"fig5_npop{npop}_")
-    elif figure == "fig6":
-        npop = cfg.npop if "npop" in explicit else 100
-        sweep_with(npop, cfg.horizon, prefix="fig6_")
-    elif figure == "fig7":
-        npops = [cfg.npop] if "npop" in explicit else [100, 200, 300, 400]
-        for npop in npops:
-            records = sweep_with(npop, cfg.horizon, prefix=f"fig7_npop{npop}_")
-            converged = [r for r in records if r.termination_reason == "converged"]
-            eps = np.array([r.epsilon_opt for r in converged])
-            q = np.array([r.q_c for r in converged], dtype=float)
-            eps_b, q_b = analysis.quantile_bins(eps, q, 20)
+        if figure != "fig7":
+            continue
+        done = [r for r in records if r.termination_reason == "converged"]
+        eps = np.array([r.epsilon_opt for r in done])
+        q = np.array([r.q_c for r in done], dtype=float)
+        eps_b, q_b = analysis.quantile_bins(eps, q, 20)
+        try:
             fit = analysis.fit_exponential(eps_b, q_b)
-            local_meta = cfg.metadata(npop=npop, bins=20, n_points=len(eps_b))
-            files.write_fit_csv(
-                os.path.join(cfg.out, f"fig7_npop{npop}_fit.csv"), fit, local_meta
-            )
-            converged, identified = _fit_status(fit)
-            print(f"{figure}: npop={npop}: fit {converged}, {identified}: "
-                  f"b = {fit.b:.4g} +- {fit.b_err:.2g}, c = {fit.c:.4g} +- {fit.c_err:.2g}")
-            if not (fit.converged and fit.identified):
-                worst = max(worst, EXIT_FLAGGED)
-    else:
-        print(f"error: unknown figure {figure!r}", file=sys.stderr)
-        return EXIT_ERROR
+        except ValueError as exc:  # too few or all-equal points: this npop only
+            print(f"{figure}: npop={npop}: fit skipped: {exc}")
+            worst = EXIT_FLAGGED
+            continue
+        local_meta = cfg.metadata(npop=npop, bins=20, n_points=len(eps_b))
+        files.write_fit_csv(os.path.join(cfg.out, f"{prefix}fit.csv"), fit, local_meta)
+        converged, identified = _fit_status(fit)
+        print(f"{figure}: npop={npop}: fit {converged}, {identified}: "
+              f"b = {fit.b:.4g} +- {fit.b_err:.2g}, c = {fit.c:.4g} +- {fit.c_err:.2g}")
+        if not (fit.converged and fit.identified):
+            worst = EXIT_FLAGGED
     return worst
 
 
@@ -380,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--elitism", type=int, help="individuals copied unchanged")
         p.add_argument("--max-gen", dest="max_gen", type=int, help="generation safety cap")
         p.add_argument("--seeds", type=int, help="ensemble size (number of seeds)")
-        p.add_argument("--base-seed", dest="base_seed", type=int, help="first seed")
+        p.add_argument("--base-seed", dest="base_seed", type=int, help="first seed (at least 0)")
         p.add_argument("--horizon", type=int,
                        help="pad mean-fitness curves to this many generations in stats output")
         p.add_argument("--out", help="output directory")
@@ -399,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_fit)
 
     p_rep = sub.add_parser("reproduce", help="canned figure-data pipelines")
-    p_rep.add_argument("figure", choices=["fig5", "fig6", "fig7"])
+    p_rep.add_argument("figure", choices=sorted(_FIGURE_NPOPS))
     add_common(p_rep)
 
     return parser

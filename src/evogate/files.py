@@ -20,7 +20,6 @@ __all__ = [
     "fmt",
     "parse_config_text",
     "read_points_csv",
-    "read_run_csv",
     "write_alpha_phi_csv",
     "write_fit_csv",
     "write_genome_json",
@@ -111,21 +110,8 @@ def write_fit_csv(path, fit, metadata: dict) -> None:
 
 def write_genome_json(path, genome: np.ndarray, metadata: dict) -> None:
     """Genome file: bit strings as ordered lists, slot index then generator index."""
-    payload = {
-        "metadata": {"version": __version__, **{k: _json_safe(v) for k, v in metadata.items()}},
-        "slots": genome_mod.genome_to_strings(genome),
-    }
-    write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _json_safe(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value]
-    return value
+    write_json(path, {"metadata": {"version": __version__, **metadata},
+                      "slots": genome_mod.genome_to_strings(genome)})
 
 
 def write_json(path, payload: dict) -> None:
@@ -133,56 +119,16 @@ def write_json(path, payload: dict) -> None:
 
 
 def _json_tree(node):
+    """``node`` with numpy scalars as Python numbers and arrays and tuples as lists."""
     if isinstance(node, dict):
         return {k: _json_tree(v) for k, v in node.items()}
     if isinstance(node, (list, tuple, np.ndarray)):
         return [_json_tree(v) for v in node]
-    return _json_safe(node)
-
-
-def read_run_csv(path):
-    """Parse a single-run file back into (metadata, generation table, summary).
-
-    The generation table is a dict of numpy arrays keyed by column; the
-    summary dict carries the parsed q_c/epsilon_opt/termination_reason and
-    the best genome as a bit array.
-    """
-    meta = {}
-    gen_rows = []
-    summary = None
-    header = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("# ") and " = " in line:
-                key, _, value = line[2:].partition(" = ")
-                meta[key] = value
-            elif line.startswith("#") or not line:
-                continue
-            elif line == RUN_HEADER:
-                header = "generations"
-            elif line == RUN_SUMMARY_HEADER:
-                header = "summary"
-            elif header == "generations":
-                gen_rows.append(line.split(","))
-            elif header == "summary":
-                cells = line.split(",")
-                summary = {
-                    "run_id": int(cells[0]),
-                    "seed": int(cells[1]),
-                    "q_c": int(cells[2]),
-                    "epsilon_opt": float(cells[3]),
-                    "termination_reason": cells[4],
-                    "best_genome": genome_mod.genome_from_field(cells[5]),
-                }
-    if header is None or summary is None:
-        raise ValueError(f"{path}: not a run file")
-    cols = RUN_HEADER.split(",")
-    table = {
-        name: np.array([row[i] for row in gen_rows], dtype=float)
-        for i, name in enumerate(cols)
-    }
-    return meta, table, summary
+    if isinstance(node, np.integer):
+        return int(node)
+    if isinstance(node, np.floating):
+        return float(node)
+    return node
 
 
 def read_points_csv(path):

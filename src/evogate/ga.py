@@ -114,19 +114,15 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class Population:
-    """Integer-coded genome stack ``(n_pop, slots, components)`` plus cached
-    fitness (descending after evaluation)."""
+    """Integer-coded genome stack ``(n_pop, slots, components)`` and its
+    fitness, both sorted by descending fitness (see :func:`evaluate`)."""
 
     genomes: np.ndarray
-    fitness: np.ndarray | None = None
+    fitness: np.ndarray
 
     @property
     def size(self) -> int:
         return self.genomes.shape[0]
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
 
     @cached_property
     def mean_fitness(self) -> float:
@@ -244,12 +240,12 @@ def fitness_fluctuation(pop: Population) -> float:
     return math.sqrt(max(var, 0.0))  # radicand can dip ~-1e-16 in floats
 
 
-def evaluate(pop: Population, task: TaskSpec, codec: CodecConfig) -> Population:
-    """Score every genome and sort descending (stable, so ties keep order)."""
-    params = genome_mod.decode_codes(pop.genomes, codec)
-    fitness = population_fitness(task, params)
+def evaluate(codes: np.ndarray, task: TaskSpec, codec: CodecConfig) -> Population:
+    """Score every genome of a code stack and sort descending (stable, so
+    ties keep order)."""
+    fitness = population_fitness(task, genome_mod.decode_codes(codes, codec))
     order = np.argsort(-fitness, kind="stable")
-    return Population(pop.genomes.take(order, axis=0), fitness.take(order))
+    return Population(codes.take(order, axis=0), fitness.take(order))
 
 
 def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
@@ -265,8 +261,6 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     kid b; an odd count discards the last kid b.  The module docstring
     gives the draws and how they act on the codes.
     """
-    if not pop.evaluated:
-        raise ValueError("population must be evaluated before breeding")
     codes = pop.genomes
     n_bred = cfg.n_pop - cfg.elitism
     n_pairs = (n_bred + 1) // 2
@@ -283,7 +277,7 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
         kids ^= genome_mod.pack(flips)
     kids = kids.reshape(2 * n_pairs, *codes.shape[1:])[:n_bred]
     genomes = np.concatenate([codes[: cfg.elitism], kids]) if cfg.elitism else kids
-    return evaluate(Population(genomes), task, cfg.codec)
+    return evaluate(genomes, task, cfg.codec)
 
 
 def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
@@ -306,7 +300,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         0, 2, size=(cfg.n_pop, cfg.n_slots, cfg.codec.n_components, cfg.codec.depth),
         dtype=np.uint8,
     )
-    pop = evaluate(Population(genome_mod.pack(bits)), task, cfg.codec)
+    pop = evaluate(genome_mod.pack(bits), task, cfg.codec)
 
     means, flucts, bests = [], [], []
     generation = 0

@@ -31,7 +31,6 @@ __all__ = [
     "genome_to_field",
     "genome_to_strings",
     "pack",
-    "random_genome",
     "rounding_error_bound",
     "unpack",
 ]
@@ -147,17 +146,6 @@ def encode_nearest(values: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     full = 1 << cfg.depth
     ints = np.rint((x / cfg.half_range * full - 1 + full) / 2.0).astype(np.int64)
     return unpack(np.clip(ints, 0, full - 1), cfg.depth)
-
-
-def random_genome(rng: np.random.Generator, cfg: CodecConfig, n_slots: int) -> np.ndarray:
-    """Uniform random genome: (n_slots, d*d-1, depth) fair genes.
-
-    Fully determined by the stream state, so a fixed seed reproduces the
-    same genome.
-    """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    return rng.integers(0, 2, size=(n_slots, cfg.n_components, cfg.depth), dtype=np.uint8)
 
 
 def rounding_error_bound(cfg: CodecConfig, n_slots: int) -> float:

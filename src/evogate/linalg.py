@@ -1,10 +1,9 @@
 """Dense complex linear algebra for small parametrized unitaries.
 
 Everything operates on plain numpy arrays with ``complex128`` entries.
-Matrices have shape ``(..., d, d)`` and state vectors ``(..., d)``; leading
-axes broadcast, so a whole population of parameter vectors can be turned into
-unitaries in a single call.  All functions are pure and never mutate their
-inputs.
+Matrices have shape ``(..., d, d)``; leading axes broadcast, so a whole
+population of parameter vectors can be turned into unitaries in a single
+call.  All functions are pure and never mutate their inputs.
 
 The floats are part of the contract: stored fitness values are re-scored
 exactly, so a rewrite of a function on the fitness path must keep every
@@ -23,19 +22,11 @@ import numpy as np
 
 __all__ = [
     "NumericError",
-    "apply",
-    "dagger",
-    "fidelity",
-    "gell_mann_generators",
     "generator_stack",
-    "hermitian_eig",
-    "matmul",
-    "normalize",
     "su2_closed_form",
     "unitary_from_params",
 ]
 
-HERMITIAN_TOL = 1e-10
 _EPS = np.finfo(float).eps
 
 
@@ -44,7 +35,17 @@ class NumericError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _generator_stack(d: int) -> np.ndarray:
+def generator_stack(d: int) -> np.ndarray:
+    """Generalized Gell-Mann basis of dimension d as one read-only
+    ``(d*d-1, d, d)`` array of traceless Hermitian matrices.
+
+    Ordering: the symmetric pair matrices ``|j><k| + |k><j|`` for ``j < k``
+    in lexicographic order, then the antisymmetric pairs
+    ``-i|j><k| + i|k><j|`` in the same order, then the diagonal matrices
+    ``sqrt(2/(l(l+1))) * (sum_{m<l} |m><m| - l|l><l|)`` for ``l = 1..d-1``.
+    For ``d = 2`` this is exactly ``[sigma_x, sigma_y, sigma_z]``, and
+    ``Tr(s_a s_b) = 2 delta_ab`` throughout.  ``d`` must be at least 2.
+    """
     if d < 2:
         raise ValueError(f"generator basis needs dimension >= 2, got {d}")
     mats = []
@@ -75,61 +76,6 @@ def _generator_stack(d: int) -> np.ndarray:
     return stack
 
 
-def generator_stack(d: int) -> np.ndarray:
-    """All d*d-1 basis generators as one read-only (d*d-1, d, d) array."""
-    return _generator_stack(d)
-
-
-def gell_mann_generators(d: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann basis of traceless Hermitian d x d matrices.
-
-    Ordering: the symmetric pair matrices ``|j><k| + |k><j|`` for ``j < k``
-    in lexicographic order, then the antisymmetric pairs
-    ``-i|j><k| + i|k><j|`` in the same order, then the diagonal matrices
-    ``sqrt(2/(l(l+1))) * (sum_{m<l} |m><m| - l|l><l|)`` for ``l = 1..d-1``.
-    For ``d = 2`` this is exactly ``[sigma_x, sigma_y, sigma_z]``.
-
-    All entries are traceless and Hermitian with ``Tr(s_a s_b) = 2 delta_ab``.
-
-    Parameters
-    ----------
-    d : int
-        Hilbert-space dimension, at least 2.
-
-    Returns
-    -------
-    list of numpy.ndarray
-        d*d - 1 read-only complex matrices.
-    """
-    return list(_generator_stack(d))
-
-
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` sorted ascending and
-    orthonormal eigenvector columns ``v`` such that ``h = v diag(w) v^dag``.
-
-    Raises
-    ------
-    ValueError
-        If ``h`` is not square or deviates from Hermiticity by more than
-        ``tol`` in max-norm.
-    NumericError
-        If the eigensolver fails to converge.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return w, v
-
-
 def unitary_from_params(p: np.ndarray, d: int) -> np.ndarray:
     """Unitary exp(-i sum_k p_k s_k) over the generator basis of dimension d.
 
@@ -149,7 +95,7 @@ def unitary_from_params(p: np.ndarray, d: int) -> np.ndarray:
     n = d * d - 1
     if p.shape[-1] != n:
         raise ValueError(f"expected {n} parameters for dimension {d}, got {p.shape[-1]}")
-    sig = _generator_stack(d)
+    sig = generator_stack(d)
     h = np.einsum("...k,kij->...ij", p, sig)
     try:
         w, v = np.linalg.eigh(h)
@@ -196,44 +142,3 @@ def su2_closed_form(p: np.ndarray) -> np.ndarray:
     np.add(0.0, fp[..., 2], out=w[..., 7])  # im u11
     return u
 
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared overlap |<a|b>|^2 of two normalized state vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"state shapes do not match: {a.shape} vs {b.shape}")
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
-def normalize(s: np.ndarray) -> np.ndarray:
-    """Scale a state vector to unit norm."""
-    s = np.asarray(s, dtype=complex)
-    n = np.linalg.norm(s)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return s / n
-
-
-def apply(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Matrix-vector product u @ s with a dimension check."""
-    u = np.asarray(u, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or s.shape != (u.shape[1],):
-        raise ValueError(f"cannot apply {u.shape} operator to {s.shape} state")
-    return u @ s
-
-
-def dagger(u: np.ndarray) -> np.ndarray:
-    """Conjugate transpose, batched over leading axes."""
-    u = np.asarray(u, dtype=complex)
-    return np.conj(np.swapaxes(u, -1, -2))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a dimension check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"inner dimensions do not match: {a.shape} vs {b.shape}")
-    return a @ b

@@ -351,20 +351,15 @@ def decision_outcome(out_constant: np.ndarray, out_balanced: np.ndarray):
     return success_const, success_balanced, defect
 
 
-def _matrix_to_json(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+def _complex_to_json(a: np.ndarray):
+    """Complex entries as nested ``[re, im]`` pairs."""
+    a = np.asarray(a, complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def _vector_to_json(v: np.ndarray):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, complex)]
-
-
-def _vector_from_json(entries) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in entries])
+def _complex_from_json(pairs) -> np.ndarray:
+    """Inverse of :func:`_complex_to_json`."""
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
 
 
 def task_to_dict(task: TaskSpec) -> dict:
@@ -380,10 +375,10 @@ def task_to_dict(task: TaskSpec) -> dict:
         "dim": task.dim,
         "slot_order": SLOT_ORDER_CONVENTION,
         "slots": slots,
-        "initial_state": _vector_to_json(task.initial_state),
-        "pairs": [[label, _vector_to_json(t)] for label, t in task.pairs],
+        "initial_state": _complex_to_json(task.initial_state),
+        "pairs": [[label, _complex_to_json(t)] for label, t in task.pairs],
         "oracle_families": {
-            fam: {label: _matrix_to_json(m) for label, m in table.items()}
+            fam: {label: _complex_to_json(m) for label, m in table.items()}
             for fam, table in task.oracle_families.items()
         },
     }
@@ -405,10 +400,10 @@ def task_from_dict(data: dict) -> TaskSpec:
     template = CircuitTemplate(dim=int(data["dim"]), slots=tuple(slots))
     return TaskSpec(
         template=template,
-        initial_state=_vector_from_json(data["initial_state"]),
-        pairs=tuple((label, _vector_from_json(t)) for label, t in data["pairs"]),
+        initial_state=_complex_from_json(data["initial_state"]),
+        pairs=tuple((label, _complex_from_json(t)) for label, t in data["pairs"]),
         oracle_families={
-            fam: {label: _matrix_from_json(m) for label, m in table.items()}
+            fam: {label: _complex_from_json(m) for label, m in table.items()}
             for fam, table in data.get("oracle_families", {}).items()
         },
         name=data.get("name", ""),

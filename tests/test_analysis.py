@@ -6,13 +6,10 @@ import pytest
 
 from evogate import linalg
 from evogate.analysis import (
-    PreparedState,
-    balance_condition_check,
     bloch_decompose,
     ensemble_stats,
     fit_exponential,
     hold_last,
-    mean_fitness_curves,
     prepared_state,
     quantile_bins,
 )
@@ -130,14 +127,6 @@ def test_prepared_state_reconstructs_amplitudes():
         assert np.max(np.abs(rebuilt * phase - actual)) <= 1e-10
 
 
-def test_balance_condition_check():
-    root2 = 1 / math.sqrt(2)
-    assert balance_condition_check(PreparedState(root2, 0.0, False), tol=1e-12)
-    assert not balance_condition_check(PreparedState(1.0, 0.0, True), tol=0.29)
-    assert balance_condition_check(PreparedState(root2 + 0.015, 0.0, False), tol=0.02)
-    assert not balance_condition_check(PreparedState(root2 + 0.025, 0.0, False), tol=0.02)
-
-
 # -------------------------------------------------------- ensemble statistics
 
 def test_hold_last():
@@ -149,31 +138,28 @@ def test_hold_last():
 
 def test_mean_fitness_curves_single_run():
     rec = StubRecord([0.3, 0.6, 0.8], 3)
-    mean, std = mean_fitness_curves([rec], horizon=5)
+    mean, std, counts = ensemble_stats([rec], horizon=5)
     assert np.array_equal(mean, [0.3, 0.6, 0.8, 0.8, 0.8])
     assert np.array_equal(std, np.zeros(5))
+    assert np.array_equal(counts, [1, 1, 1, 1, 1])
 
 
 def test_ensemble_stats_single_run():
     rec = StubRecord([0.3, 0.6, 0.8], 3)
-    stats = ensemble_stats([rec])
-    assert np.array_equal(stats.mean_fitness, rec.mean_fitness)
-    assert np.array_equal(stats.std_fitness, np.zeros(3))
-    assert np.array_equal(stats.counts, [1, 1, 1])
-    assert np.array_equal(stats.qc_values, [3])
-    assert np.array_equal(stats.qc_counts, [1])
-    assert math.isnan(stats.alpha_mean)
-    assert stats.n_alpha == 0
+    mean, std, counts = ensemble_stats([rec])
+    assert np.array_equal(mean, rec.mean_fitness)
+    assert np.array_equal(std, np.zeros(3))
+    assert np.array_equal(counts, [1, 1, 1])
 
 
 def test_ensemble_stats_dropout():
     short = StubRecord([0.2, 0.4, 0.6], 3)
     long = StubRecord([0.4, 0.6, 0.8, 0.9, 1.0], 5)
-    stats = ensemble_stats([short, long])
-    assert np.array_equal(stats.counts, [2, 2, 2, 1, 1])
-    assert np.allclose(stats.mean_fitness, [0.3, 0.5, 0.7, 0.9, 1.0])
-    assert np.allclose(stats.std_fitness[:3], [0.1, 0.1, 0.1])
-    assert np.array_equal(stats.std_fitness[3:], [0.0, 0.0])
+    mean, std, counts = ensemble_stats([short, long])
+    assert np.array_equal(counts, [2, 2, 2, 1, 1])
+    assert np.allclose(mean, [0.3, 0.5, 0.7, 0.9, 1.0])
+    assert np.allclose(std[:3], [0.1, 0.1, 0.1])
+    assert np.array_equal(std[3:], [0.0, 0.0])
 
 
 def test_ensemble_stats_permutation_invariant():
@@ -182,23 +168,10 @@ def test_ensemble_stats_permutation_invariant():
         StubRecord(np.sort(rng.uniform(0, 1, size=n)), n)
         for n in rng.integers(2, 12, size=20)
     ]
-    ps = [PreparedState(a, 0.0, False) for a in rng.uniform(0.6, 0.8, size=20)]
-    forward = ensemble_stats(recs, ps)
-    backward = ensemble_stats(recs[::-1], ps[::-1])
-    assert np.array_equal(forward.mean_fitness, backward.mean_fitness)
-    assert np.array_equal(forward.counts, backward.counts)
-    assert forward.alpha_mean == backward.alpha_mean
-    assert forward.alpha_std == backward.alpha_std
-    assert np.array_equal(forward.qc_values, backward.qc_values)
-
-
-def test_ensemble_stats_alpha_summary():
-    recs = [StubRecord([0.5], 1)]
-    ps = [PreparedState(0.70, 0.0, False), PreparedState(0.72, 1.0, False)]
-    stats = ensemble_stats(recs, ps)
-    assert abs(stats.alpha_mean - 0.71) <= 1e-15
-    assert abs(stats.alpha_std - 0.01) <= 1e-15
-    assert stats.n_alpha == 2
+    forward = ensemble_stats(recs)
+    backward = ensemble_stats(recs[::-1])
+    for a, b in zip(forward, backward):
+        assert np.array_equal(a, b)
 
 
 def test_ensemble_stats_rejects_empty():

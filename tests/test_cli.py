@@ -205,6 +205,14 @@ def test_negative_horizon_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, seed", [("sweep", "-2"), ("run", "-1")])
+def test_negative_base_seed_is_rejected(tmp_path, capsys, command, seed):
+    out = tmp_path / "o"
+    assert main([command, "--seeds", "4", "--base-seed", seed, "--out", str(out)]) == 1
+    assert f"config key 'base_seed' must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_zero_seeds_is_rejected(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["reproduce", "fig6", "--seeds", "0", "--out", str(out)]) == 1
@@ -403,33 +411,20 @@ def test_reproduce_fig7_smoke(tmp_path):
     assert (out / "fig7_npop40_fit.csv").exists()
 
 
+def test_reproduce_fig7_skips_a_fit_without_enough_points(tmp_path, capsys):
+    # three seeds give at most three converged points, too few for any fit:
+    # each population says so and the later populations still run
+    out = tmp_path / "fig7"
+    assert main(["reproduce", "fig7", "--seeds", "3", "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    for npop in (100, 200, 300, 400):
+        assert (out / f"fig7_npop{npop}_runs.csv").exists()
+        assert not (out / f"fig7_npop{npop}_fit.csv").exists()
+        assert any(line.startswith(f"fig7: npop={npop}: fit skipped: need at least 4 points")
+                   for line in lines), lines
+
+
 # ------------------------------------------------------------ file helpers
-
-def test_run_csv_round_trip(tmp_path):
-    from evogate import ga, tasks
-    from evogate.genome import CodecConfig
-
-    codec = CodecConfig(depth=15)
-    cfg = ga.GAConfig(n_pop=12, threshold=1e-4, codec=codec, n_slots=2, max_generations=60)
-    record = ga.run(cfg, tasks.deutsch_task(), seed=9)
-    path = tmp_path / "run.csv"
-    files.write_run_csv(path, record, run_id=4, metadata={"npop": 12, "seed": 9})
-
-    meta, table, summary = files.read_run_csv(path)
-    assert meta["npop"] == "12"
-    assert np.array_equal(table["generation"], np.arange(1, record.q_c + 1))
-    assert np.array_equal(table["mean_fitness"], record.mean_fitness)
-    assert np.array_equal(table["fluctuation"], record.fluctuation)
-    assert np.array_equal(table["best_fitness"], record.best_fitness_series)
-    assert summary["run_id"] == 4
-    assert summary["seed"] == 9
-    assert summary["q_c"] == record.q_c
-    assert summary["epsilon_opt"] == record.epsilon_opt
-    assert summary["termination_reason"] == record.termination_reason
-    assert np.array_equal(summary["best_genome"], record.best_genome)
-    with pytest.raises(ValueError):
-        files.read_run_csv(__file__)
-
 
 def test_fmt_is_round_trip_stable():
     values = [math.pi, 1.0, 1e-300, 0.1, 2.0 / 3.0]

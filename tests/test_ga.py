@@ -18,10 +18,9 @@ def make_config(n_pop=20, **kw):
     return GAConfig(**defaults)
 
 
-def random_population(n_pop, seed=0):
+def random_codes(n_pop, seed=0):
     rng = np.random.default_rng(seed)
-    genomes = rng.integers(0, 2, size=(n_pop, 2, 3, 15), dtype=np.uint8)
-    return Population(genome.pack(genomes))
+    return genome.pack(rng.integers(0, 2, size=(n_pop, 2, 3, 15), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------- selection
@@ -152,7 +151,7 @@ def test_select_parents_matches_per_pair_reference(n_pop):
 def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
     for elitism in sorted({0, 1, n_pop - 1, n_pop}):
         cfg = make_config(n_pop=n_pop, mutation_rate=mutation_rate, elitism=elitism)
-        pop = ga.evaluate(random_population(n_pop, seed=n_pop + elitism), TASK, CODEC)
+        pop = ga.evaluate(random_codes(n_pop, seed=n_pop + elitism), TASK, CODEC)
         streams, ref = RngStreams.from_seed(elitism), RngStreams.from_seed(elitism)
         for _ in range(4):
             nxt = ga.next_generation(pop, cfg, TASK, streams)
@@ -171,7 +170,8 @@ def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
 def _bred(genomes, cfg, seed, monkeypatch):
     """Children's bits of one generation in breeding order (pair-major, kid a
     first), bred from the given bits."""
-    monkeypatch.setattr(ga, "evaluate", lambda pop, task, codec: pop)
+    monkeypatch.setattr(ga, "evaluate",
+                        lambda codes, task, codec: Population(codes, np.zeros(len(codes))))
     streams = RngStreams.from_seed(seed)
     pairs = ga.select_parents(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
     pop = Population(genome.pack(genomes), np.zeros(len(genomes)))
@@ -226,7 +226,7 @@ def test_crossover_swaps_one_contiguous_segment(monkeypatch):
 def test_mutate_zero_rate_is_identity():
     # a zero rate draws nothing from the mutation stream
     cfg = make_config(n_pop=9)
-    pop = ga.evaluate(random_population(9, seed=8), TASK, CODEC)
+    pop = ga.evaluate(random_codes(9, seed=8), TASK, CODEC)
     streams = RngStreams.from_seed(0)
     before = streams.mutation.bit_generator.state
     ga.next_generation(pop, cfg, TASK, streams)
@@ -236,7 +236,7 @@ def test_mutate_zero_rate_is_identity():
 def test_mutate_full_rate_is_complement():
     g = np.random.default_rng(1).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
     cfg = make_config(n_pop=6, mutation_rate=1.0)
-    pop = ga.evaluate(Population(genome.pack(np.repeat(g, 6, axis=0))), TASK, CODEC)
+    pop = ga.evaluate(genome.pack(np.repeat(g, 6, axis=0)), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
     assert np.array_equal(genome.unpack(nxt.genomes, CODEC.depth), np.repeat(1 - g, 6, axis=0))
 
@@ -278,7 +278,7 @@ def test_fluctuation_bounded():
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_sorts_descending():
-    pop = ga.evaluate(random_population(30, seed=9), TASK, CODEC)
+    pop = ga.evaluate(random_codes(30, seed=9), TASK, CODEC)
     assert np.all(np.diff(pop.fitness) <= 0)
     assert np.all((pop.fitness >= 0) & (pop.fitness <= 1))
 
@@ -287,7 +287,7 @@ def test_evaluate_scores_known_genomes():
     p_h = (np.pi / 2) * np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
     near_h = np.stack([genome.encode_nearest(p_h, CODEC)] * 2)
     near_id = np.stack([genome.encode_nearest(np.zeros(3), CODEC)] * 2)
-    pop = ga.evaluate(Population(genome.pack(np.stack([near_id, near_h]))), TASK, CODEC)
+    pop = ga.evaluate(genome.pack(np.stack([near_id, near_h])), TASK, CODEC)
     bound = genome.rounding_error_bound(CODEC, 2)
     assert pop.fitness[0] >= 1.0 - bound  # near-perfect solution ranks first
     assert abs(pop.fitness[1] - 0.5) <= 1e-3  # near-identity cannot see balance
@@ -297,7 +297,7 @@ def test_evaluate_scores_known_genomes():
 
 def test_next_generation_full_elitism_copies_population():
     cfg = make_config(n_pop=12, elitism=12)
-    pop = ga.evaluate(random_population(12, seed=4), TASK, CODEC)
+    pop = ga.evaluate(random_codes(12, seed=4), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(0))
     assert np.array_equal(nxt.genomes, pop.genomes)
     assert np.array_equal(nxt.fitness, pop.fitness)
@@ -306,7 +306,7 @@ def test_next_generation_full_elitism_copies_population():
 @pytest.mark.parametrize("n_pop", [5, 8])
 def test_next_generation_size(n_pop):
     cfg = make_config(n_pop=n_pop)
-    pop = ga.evaluate(random_population(n_pop, seed=1), TASK, CODEC)
+    pop = ga.evaluate(random_codes(n_pop, seed=1), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(5))
     assert nxt.size == n_pop
 
@@ -315,15 +315,9 @@ def test_next_generation_homogeneous_fixed_point():
     g = np.random.default_rng(10).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
     genomes = genome.pack(np.repeat(g, 6, axis=0))
     cfg = make_config(n_pop=6)
-    pop = ga.evaluate(Population(genomes), TASK, CODEC)
+    pop = ga.evaluate(genomes, TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
     assert np.array_equal(nxt.genomes, pop.genomes)
-
-
-def test_next_generation_requires_evaluated_population():
-    cfg = make_config(n_pop=6)
-    with pytest.raises(ValueError):
-        ga.next_generation(random_population(6), cfg, TASK, RngStreams.from_seed(0))
 
 
 def test_elitism_makes_best_fitness_monotone():

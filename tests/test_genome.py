@@ -141,22 +141,6 @@ def test_decode_rejects_wrong_depth():
         genome.decode(np.zeros(4, dtype=np.uint8), cfg)
 
 
-def test_random_generation_is_reproducible():
-    cfg = CodecConfig(depth=15, dim=2)
-    a = genome.random_genome(np.random.default_rng(42), cfg, n_slots=2)
-    b = genome.random_genome(np.random.default_rng(42), cfg, n_slots=2)
-    assert np.array_equal(a, b)
-    assert a.shape == (2, 3, 15)
-
-
-def test_random_genes_are_balanced():
-    # 3334 slots x 3 components x 10 genes: 100,020 genes
-    cfg = CodecConfig(depth=10)
-    bits = genome.random_genome(np.random.default_rng(1), cfg, n_slots=3334)
-    frac = bits.mean()
-    assert 0.495 <= frac <= 0.505
-
-
 def test_rounding_error_bound_values():
     cfg = CodecConfig(depth=15, half_range=math.pi, dim=2)
     bound = genome.rounding_error_bound(cfg, n_slots=2)

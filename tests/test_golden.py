@@ -1,7 +1,8 @@
-"""Golden trajectories: the exact output bytes of a few fixed sweeps.
+"""Golden trajectories: the exact output bytes of a few fixed commands.
 
-Each case runs ``evogate sweep`` and pins the sha256 of ``runs.csv`` and
-``stats.csv`` (and ``alpha_phi.csv`` for the general task).  Any change to
+Each sweep case runs ``evogate sweep`` and pins the sha256 of ``runs.csv``
+and ``stats.csv`` (and ``alpha_phi.csv`` for the general task); the command
+cases pin every file that ``run`` and ``reproduce`` write.  Any change to
 the order or number of draws on the four random streams, to the breeding
 step, to the arithmetic of evaluation or to the output format changes these
 digests.  Re-pin them only for a change that is meant to alter results, and
@@ -153,3 +154,59 @@ def test_golden_sweep_general_task(tmp_path, monkeypatch):
         "3c853e9bfafef233319220f772947a4749856b4049a645f01424f70019759e89")
     assert _sha256(out / "alpha_phi.csv") == (
         "1b994de2044aea1596f9b1d3b269c3ff81d2494b918c76593fb4e6dc81188e6c")
+
+
+# every file a command writes, at default settings unless a flag says
+# otherwise; name -> (argv, exit code, {file name: sha256})
+COMMAND_CASES = {
+    # one search: the run table with its summary section, the genome file
+    # and the analysis sidecar
+    "run-seed7": (
+        ["run", "--base-seed", "7"], 0, {
+            "analysis_7.json": "5f40ca393dadcf38f2545bb0e0a45cf9a63b9602f6d1ce772240b0da907e4090",
+            "genome_7.json": "678c3874d591156807bf57c87f8dfa6cbc13431402ff24dd79f69d1e6c2b039f",
+            "run_7.csv": "4a80e518deec01780e7d6f2f5370240bc404e48f3c3516c626146df479cd9242",
+        }),
+    # three populations with hold-last stats at the default horizon 100
+    "fig5-seeds6": (
+        ["reproduce", "fig5", "--seeds", "6"], 0, {
+            "fig5_npop100_alpha_phi.csv":
+                "14fdc0e18cda8026eb35e2cf2b1e64d5380d8ef234c99e0e0b938f220d2635df",
+            "fig5_npop100_runs.csv":
+                "af8cae2f01b7ccd506d55fe3e7fad04e1ab1609d771600ab02b8e4b45a5fa104",
+            "fig5_npop100_stats.csv":
+                "15d5bf173af697848fecc32b07e98cd10e56484c05621d490fad2ec69f259860",
+            "fig5_npop10_alpha_phi.csv":
+                "81159a926d9d9b706b9e2a1c272b189cc6b93d8e9d42d8b8906be739bf183058",
+            "fig5_npop10_runs.csv":
+                "a5c4e4a3b0eed381db1f101a1a1aaa85f65c9e7e65bc25b9848ce0f0b9140e2c",
+            "fig5_npop10_stats.csv":
+                "16dd997a5ded19f5b4eb16b3e46de4d28ecf6e4a1138ef2d7f4fb94636e29065",
+            "fig5_npop50_alpha_phi.csv":
+                "7c043107693c0aacabf868a915faab7f260a1f79d4df49526d0916c618d57d4c",
+            "fig5_npop50_runs.csv":
+                "1721fdeaa99f4de8954033ac9760e5e05101edcdf948858d1f073fe6af9439bf",
+            "fig5_npop50_stats.csv":
+                "8c5520de44ec9014eaab985bf6b5ce80beecc6e7d2e4906a327e8e4bc8d87ba4",
+        }),
+    # drop-out stats (horizon 0) and a fit; the fit is flagged, so exit 2
+    "fig7-npop30-seeds40": (
+        ["reproduce", "fig7", "--npop", "30", "--seeds", "40"], 2, {
+            "fig7_npop30_alpha_phi.csv":
+                "54d99d3f9a7da8ca5543e440c98f18d6c41f7342aa6f7041074fd397be3ac2de",
+            "fig7_npop30_fit.csv":
+                "2671168cfb25b3c04117917cbd6fde5ea1c1fa874c048f21f4dd889e521ef236",
+            "fig7_npop30_runs.csv":
+                "c8995aa51bcdf46b8e99e7b5390f202faf52512cd1056b768d0e24def9483790",
+            "fig7_npop30_stats.csv":
+                "009d774d793f7145a84fa72430bd7d0e28a24c0c6906a650b2d652587d1d767f",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_golden_command(name, tmp_path):
+    argv, code, digests = COMMAND_CASES[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv + ["--workers", "1", "--out", str(tmp_path)]) == code
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == digests

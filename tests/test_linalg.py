@@ -10,7 +10,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def test_d2_generators_are_pauli_matrices():
-    gx, gy, gz = linalg.gell_mann_generators(2)
+    gx, gy, gz = linalg.generator_stack(2)
     assert np.array_equal(gx, SX)
     assert np.array_equal(gy, SY)
     assert np.array_equal(gz, SZ)
@@ -18,7 +18,7 @@ def test_d2_generators_are_pauli_matrices():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_generator_trace_orthogonality(d):
-    gens = linalg.gell_mann_generators(d)
+    gens = linalg.generator_stack(d)
     assert len(gens) == d * d - 1
     for i, a in enumerate(gens):
         assert abs(np.trace(a)) <= 1e-15
@@ -29,7 +29,7 @@ def test_generator_trace_orthogonality(d):
 
 
 def test_d3_has_eight_generators():
-    gens = linalg.gell_mann_generators(3)
+    gens = linalg.generator_stack(3)
     assert len(gens) == 8
     gram = np.array([[np.trace(a @ b).real for b in gens] for a in gens])
     assert np.max(np.abs(gram - 2.0 * np.eye(8))) <= 1e-13
@@ -38,7 +38,7 @@ def test_d3_has_eight_generators():
 @pytest.mark.parametrize("d", [0, 1])
 def test_generators_reject_small_dimension(d):
     with pytest.raises(ValueError):
-        linalg.gell_mann_generators(d)
+        linalg.generator_stack(d)
 
 
 def test_unitary_zero_params_is_identity():
@@ -58,7 +58,7 @@ def test_unitarity_for_random_params(d):
     rng = np.random.default_rng(11)
     p = rng.uniform(-np.pi, np.pi, size=(500, d * d - 1))
     u = linalg.unitary_from_params(p, d)
-    defect = u @ linalg.dagger(u) - np.eye(d)
+    defect = u @ u.conj().swapaxes(-1, -2) - np.eye(d)
     assert np.max(np.abs(defect)) <= 1e-12
 
 
@@ -112,100 +112,11 @@ def test_su2_closed_form_matches_reference_bit_for_bit():
     assert np.array_equal(linalg.su2_closed_form(k_pi), _reference_su2(k_pi))
 
 
-def test_hermitian_eig_diagonal():
-    w, v = linalg.hermitian_eig(np.diag([1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0])
-    assert np.allclose(np.abs(v), np.eye(2))
-
-
-def test_hermitian_eig_pauli_spectrum():
-    w, _ = linalg.hermitian_eig(SX)
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_hermitian_eig_su2_spectrum():
-    # sum_k p_k sigma_k has eigenvalues -|p| and +|p|
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        p = rng.uniform(-np.pi, np.pi, size=3)
-        h = p[0] * SX + p[1] * SY + p[2] * SZ
-        w, v = linalg.hermitian_eig(h)
-        norm = np.linalg.norm(p)
-        assert np.allclose(w, [-norm, norm], atol=1e-12)
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-10
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_hermitian_eig_reconstruction_and_order(d):
-    rng = np.random.default_rng(d)
-    for _ in range(25):
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = z + z.conj().T
-        w, v = linalg.hermitian_eig(h)
-        assert np.all(np.diff(w) >= 0)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-10
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_eigensolver_failure_is_reported(monkeypatch):
     def explode(_):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
     with pytest.raises(linalg.NumericError):
-        linalg.hermitian_eig(np.eye(2))
-    with pytest.raises(linalg.NumericError):
         linalg.unitary_from_params(np.zeros(3), 2)
 
-
-def test_fidelity_basics():
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    ket1 = np.array([0.0, 1.0], dtype=complex)
-    plus = (ket0 + ket1) / np.sqrt(2)
-    assert linalg.fidelity(ket0, ket0) == 1.0
-    assert linalg.fidelity(ket0, ket1) == 0.0
-    assert abs(linalg.fidelity(ket0, plus) - 0.5) <= 1e-15
-
-
-def test_fidelity_global_phase():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        a = linalg.normalize(rng.normal(size=4) + 1j * rng.normal(size=4))
-        b = linalg.normalize(rng.normal(size=4) + 1j * rng.normal(size=4))
-        base = linalg.fidelity(a, b)
-        # quarter-turn phases are exact in floating point
-        for phase in (1j, -1.0, -1j):
-            assert linalg.fidelity(phase * a, b) == base
-        theta = rng.uniform(0, 2 * np.pi)
-        assert abs(linalg.fidelity(np.exp(1j * theta) * a, b) - base) <= 1e-14
-
-
-def test_fidelity_rejects_mismatched_dims():
-    with pytest.raises(ValueError):
-        linalg.fidelity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
-def test_apply_and_matmul():
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    assert np.array_equal(linalg.apply(np.eye(2), ket0), ket0)
-    assert np.array_equal(linalg.apply(SX, ket0), np.array([0.0, 1.0], dtype=complex))
-    u = linalg.su2_closed_form(np.array([0.3, -0.7, 1.1]))
-    assert np.max(np.abs(linalg.matmul(u, linalg.dagger(u)) - np.eye(2))) <= 1e-12
-    s = linalg.apply(u, linalg.normalize(np.array([1.0, 2.0j])))
-    assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        linalg.apply(np.eye(3), ket0)
-    with pytest.raises(ValueError):
-        linalg.matmul(np.eye(3), np.eye(2))
-
-
-def test_normalize():
-    v = linalg.normalize(np.array([3.0, 4.0j]))
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        linalg.normalize(np.zeros(2))
