@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -188,12 +187,18 @@ def run_many(ga_cfg, task, seeds, workers: int):
     """Execute seeded runs, in order, optionally on a process pool.
 
     Results are merged by run index, so the outcome does not depend on the
-    worker count.  The pool gets the runs in chunks of about a quarter of
-    each worker's share (``multiprocessing.Pool.map``'s rule), so a sweep of
+    worker count.  The pool has at most one worker per seed, and one worker
+    means no pool.  It gets the runs in chunks of about a quarter of each
+    worker's share (``multiprocessing.Pool.map``'s rule), so a sweep of
     short runs is not dominated by one round trip per run.
     """
     payloads = [(ga_cfg, task, s) for s in seeds]
+    workers = min(workers, len(payloads))
     if workers > 1:
+        # imported here, in the parent before the first fork, so that serial
+        # commands never load concurrent.futures and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, math.ceil(len(payloads) / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
@@ -296,8 +301,6 @@ def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
     if figure not in _FIGURE_NPOPS:
         print(f"error: unknown figure {figure!r}", file=sys.stderr)
         return EXIT_ERROR
-    if "seeds" not in explicit:
-        cfg.seeds = 1000
     task = resolve_task(cfg.task)
     os.makedirs(cfg.out, exist_ok=True)
     worst = EXIT_OK
@@ -392,6 +395,8 @@ def main(argv=None) -> int:
     }
     try:
         cfg, explicit = load_config(args.config, flag_values)
+        if args.command == "reproduce" and "seeds" not in explicit:
+            cfg.seeds = 1000  # before the echo, so stdout matches the files' metadata
         _echo_config(cfg)
         if args.command == "run":
             return cmd_run(cfg)

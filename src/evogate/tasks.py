@@ -385,29 +385,33 @@ def task_to_dict(task: TaskSpec) -> dict:
 
 
 def task_from_dict(data: dict) -> TaskSpec:
-    """Inverse of :func:`task_to_dict`."""
-    order = data.get("slot_order", SLOT_ORDER_CONVENTION)
-    if order != SLOT_ORDER_CONVENTION:
-        raise ValueError(f"unsupported slot order {order!r}")
-    slots = []
-    for s in data["slots"]:
-        if s["kind"] == "trainable":
-            slots.append(TrainableSlot(int(s["index"])))
-        elif s["kind"] == "oracle":
-            slots.append(OracleSlot(s.get("family", "oracle")))
-        else:
-            raise ValueError(f"unknown slot kind {s['kind']!r}")
-    template = CircuitTemplate(dim=int(data["dim"]), slots=tuple(slots))
-    return TaskSpec(
-        template=template,
-        initial_state=_complex_from_json(data["initial_state"]),
-        pairs=tuple((label, _complex_from_json(t)) for label, t in data["pairs"]),
-        oracle_families={
-            fam: {label: _complex_from_json(m) for label, m in table.items()}
-            for fam, table in data.get("oracle_families", {}).items()
-        },
-        name=data.get("name", ""),
-    )
+    """Inverse of :func:`task_to_dict`.  A field of the wrong type raises
+    ``ValueError``, as any other malformed description does."""
+    try:
+        order = data.get("slot_order", SLOT_ORDER_CONVENTION)
+        if order != SLOT_ORDER_CONVENTION:
+            raise ValueError(f"unsupported slot order {order!r}")
+        slots = []
+        for s in data["slots"]:
+            if s["kind"] == "trainable":
+                slots.append(TrainableSlot(int(s["index"])))
+            elif s["kind"] == "oracle":
+                slots.append(OracleSlot(s.get("family", "oracle")))
+            else:
+                raise ValueError(f"unknown slot kind {s['kind']!r}")
+        template = CircuitTemplate(dim=int(data["dim"]), slots=tuple(slots))
+        return TaskSpec(
+            template=template,
+            initial_state=_complex_from_json(data["initial_state"]),
+            pairs=tuple((label, _complex_from_json(t)) for label, t in data["pairs"]),
+            oracle_families={
+                fam: {label: _complex_from_json(m) for label, m in table.items()}
+                for fam, table in data.get("oracle_families", {}).items()
+            },
+            name=data.get("name", ""),
+        )
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed task description: {exc}") from exc
 
 
 def save_task(task: TaskSpec, path) -> None:

@@ -179,6 +179,25 @@ def test_run_accepts_task_file(tmp_path):
     assert (out / "run_1.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [("oracle_families", []), ("slots", 5)])
+def test_run_rejects_a_mistyped_task_file(tmp_path, field, value):
+    from evogate import tasks
+
+    data = tasks.task_to_dict(tasks.deutsch_task())
+    data[field] = value
+    task_path = tmp_path / "bad.json"
+    task_path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(Path(evogate.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "evogate", "run", "--task", str(task_path),
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "error: malformed task description" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_zero_seeds_fails(tmp_path):
@@ -222,6 +241,14 @@ def test_reproduce_zero_seeds_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reproduce_echoes_its_default_seed_count(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["reproduce", "fig6", "--npop", "4", "--max-gen", "1", "--out", str(out)]) == 0
+    assert "seeds = 1000" in capsys.readouterr().out.splitlines()
+    meta, _, rows = read_table(out / "fig6_runs.csv")
+    assert meta["seeds"] == "1000" and len(rows) == 1000
+
+
 def test_sweep_outputs_and_worker_determinism(tmp_path):
     args = ["sweep", "--npop", "16", "--seeds", "4", "--base-seed", "3"]
     out1 = tmp_path / "w1"
@@ -242,6 +269,27 @@ def test_sweep_outputs_and_worker_determinism(tmp_path):
     for row in alpha_rows:
         assert 0.0 <= float(row["alpha"]) <= 1.0
         assert -math.pi < float(row["phi"]) <= math.pi
+
+
+def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class Recorder(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    args = ["sweep", "--npop", "10", "--base-seed", "5"]
+    assert main(args + ["--seeds", "2", "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
+    assert asked == [2]
+    assert main(args + ["--seeds", "2", "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert main(args + ["--seeds", "1", "--workers", "3", "--out", str(tmp_path / "s1")]) == 0
+    assert asked == [2]  # a single worker runs serially, without a pool
+    for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
+        assert read_bytes(tmp_path / "w3" / name) == read_bytes(tmp_path / "w1" / name), name
 
 
 def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
@@ -450,6 +498,7 @@ def test_a_run_imports_nothing(tmp_path):
     script = textwrap.dedent("""
         import contextlib, io, json, os, sys
         from evogate import cli, ga
+        cli.build_parser()  # argparse's gettext loads locale here, before any fork
         before = set(sys.modules)
         task = cli.resolve_task("deutsch")
         ga.run(cli.make_ga_config(cli.ExperimentConfig(npop=6, max_gen=5), task), task, 1)
@@ -467,3 +516,36 @@ def test_a_run_imports_nothing(tmp_path):
     result = json.loads(proc.stdout)
     assert result["codes"][0] == 0 and result["codes"][1] in (0, 2), result
     assert result["new"] == [], f"imported during a run: {result['new']}"
+
+
+def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
+    # the pool modules cost every interpreter about 2 MB and 25 ms, so only
+    # a sweep that starts a pool may import them
+    script = textwrap.dedent("""
+        import contextlib, io, json, os, sys
+        from evogate import cli
+        out = sys.argv[1]
+        common = ["--npop", "6", "--max-gen", "5", "--out", out]
+        commands = {
+            "run": ["run", *common],
+            "sweep --workers 1": ["sweep", "--seeds", "8", "--workers", "1", *common],
+            "fit": ["fit", os.path.join(out, "runs.csv"), "--bins", "4", "--out", out],
+            "sweep --seeds 1 --workers 3": ["sweep", "--seeds", "1", "--workers", "3", *common],
+            "sweep --workers 2": ["sweep", "--seeds", "4", "--workers", "2", *common],
+        }
+        seen = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, argv in commands.items():
+                code = cli.main(argv)
+                seen[name] = [code, [m for m in ("concurrent.futures.process", "multiprocessing")
+                                     if m in sys.modules]]
+        print(json.dumps(seen))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(evogate.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout)
+    assert all(code in (0, 2) for code, _ in seen.values()), seen
+    pooled = seen.pop("sweep --workers 2")[1]
+    assert {name: loaded for name, (_, loaded) in seen.items()} == dict.fromkeys(seen, [])
+    assert pooled == ["concurrent.futures.process", "multiprocessing"]
