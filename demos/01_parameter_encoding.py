@@ -8,6 +8,7 @@ This script walks through the decode map and its rounding-error scale.
 
 import numpy as np
 
+from evogate import deutsch_task
 from evogate.genome import (
     CodecConfig,
     decode,
@@ -39,13 +40,15 @@ snapped = float(decode(encode_nearest(target, cfg), cfg))
 print(f"encode_nearest({target}) -> {snapped:+.6f} "
       f"(off by {abs(snapped - target):.2e}, at most half a gap)")
 
-# production depth: 15 genes shrink the rounding floor to ~1e-3
+# production depth: 15 genes shrink the rounding floor to ~1e-3; the task
+# fixes the genome shape, here two trainable unitaries of three parameters
 deep = CodecConfig(depth=15)
+task = deutsch_task()
 print(f"\nat depth 15 the rounding-error scale for two trainable unitaries is "
-      f"{rounding_error_bound(deep, n_slots=2):.2e}")
+      f"{rounding_error_bound(deep, task):.2e}")
 
 # two slots of three fair-coin chromosomes each
-g = np.random.default_rng(42).integers(0, 2, size=(2, deep.n_components, deep.depth),
+g = np.random.default_rng(42).integers(0, 2, size=(task.n_slots, task.n_components, deep.depth),
                                        dtype=np.uint8)
 print(f"a random genome is a {g.shape} bit array; decoded parameters:")
 print(np.array2string(decode(g, deep), precision=4))

@@ -15,7 +15,7 @@ from evogate.genome import CodecConfig
 
 task = tasks.deutsch_task()
 codec = CodecConfig(depth=15)
-config = GAConfig(n_pop=100, threshold=1e-4, codec=codec, n_slots=2)
+config = GAConfig(n_pop=100, threshold=1e-4, codec=codec)
 
 record = run(config, task, seed=2026)
 print(f"terminated: {record.termination_reason} after {record.q_c} generations")

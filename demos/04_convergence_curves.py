@@ -20,7 +20,7 @@ codec = CodecConfig(depth=15)
 
 curves = {}
 for n_pop in (10, 50, 100):
-    config = GAConfig(n_pop=n_pop, threshold=1e-4, codec=codec, n_slots=2)
+    config = GAConfig(n_pop=n_pop, threshold=1e-4, codec=codec)
     records = [run(config, task, seed) for seed in range(1, SEEDS + 1)]
     mean, std, _ = analysis.ensemble_stats(records, HORIZON)
     curves[n_pop] = (mean, std)

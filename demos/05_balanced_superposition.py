@@ -18,7 +18,7 @@ SEEDS = 150
 
 task = tasks.deutsch_task()
 codec = CodecConfig(depth=15)
-config = GAConfig(n_pop=100, threshold=1e-4, codec=codec, n_slots=2)
+config = GAConfig(n_pop=100, threshold=1e-4, codec=codec)
 
 states = []
 for seed in range(1, SEEDS + 1):

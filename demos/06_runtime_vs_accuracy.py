@@ -33,7 +33,7 @@ print(f"  a = {fit_n.a:.2f} +- {fit_n.a_err:.2f}, b = {fit_n.b:.2f} +- {fit_n.b_
 # --- real ensemble: how long searches run vs how accurate they end up
 SEEDS = 200
 task = tasks.deutsch_task()
-config = GAConfig(n_pop=100, threshold=1e-4, codec=CodecConfig(depth=15), n_slots=2)
+config = GAConfig(n_pop=100, threshold=1e-4, codec=CodecConfig(depth=15))
 records = [run(config, task, seed) for seed in range(1, SEEDS + 1)]
 converged = [r for r in records if r.termination_reason == "converged"]
 eps = np.array([r.epsilon_opt for r in converged])

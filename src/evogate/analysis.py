@@ -24,6 +24,8 @@ __all__ = [
 
 DEGENERATE_SIN = 1e-9
 DEGENERATE_AMPLITUDE = 1e-12
+# Gauss-Newton iterations before fit_exponential gives up unconverged
+FIT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def _model(params: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return a * np.exp(-b * eps) + c
 
 
-def fit_exponential(eps, q, init=None, max_iter: int = 200) -> FitResult:
+def fit_exponential(eps, q, init=None) -> FitResult:
     """Least-squares fit of q = a * exp(-b * eps) + c by damped Gauss-Newton.
 
     Initialization: ``c0`` slightly below the smallest q, then a log-linear
@@ -237,7 +239,7 @@ def fit_exponential(eps, q, init=None, max_iter: int = 200) -> FitResult:
     converged = rss <= floor
     n_iter = 0
     singular = False
-    while not converged and n_iter < max_iter:
+    while not converged and n_iter < FIT_MAX_ITER:
         n_iter += 1
         decay = np.exp(-params[1] * eps)
         jac = np.column_stack([decay, -params[0] * eps * decay, np.ones_like(eps)])

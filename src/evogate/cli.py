@@ -115,16 +115,13 @@ def resolve_task(name: str) -> tasks_mod.TaskSpec:
     return tasks_mod.load_task(name)
 
 
-def make_codec(cfg: ExperimentConfig, task: tasks_mod.TaskSpec) -> CodecConfig:
-    return CodecConfig(depth=cfg.depth, half_range=cfg.half_range, dim=task.dim)
-
-
 def make_ga_config(cfg: ExperimentConfig, task: tasks_mod.TaskSpec) -> GAConfig:
+    """The search settings of ``cfg``.  ``task`` is not read: the task passed
+    to ``ga.run`` fixes the genome shape itself."""
     return GAConfig(
         n_pop=cfg.npop,
         threshold=cfg.threshold,
-        codec=make_codec(cfg, task),
-        n_slots=task.n_slots,
+        codec=CodecConfig(depth=cfg.depth, half_range=cfg.half_range),
         mutation_rate=cfg.mutation,
         elitism=cfg.elitism,
         max_generations=cfg.max_gen,
@@ -145,7 +142,7 @@ def _analysis_payload(record, task, ga_cfg) -> dict:
         "termination_reason": record.termination_reason,
         "best_fitness": record.best_fitness,
         "epsilon_opt": record.epsilon_opt,
-        "rounding_bound": genome_mod.rounding_error_bound(codec, ga_cfg.n_slots),
+        "rounding_bound": genome_mod.rounding_error_bound(codec, task),
     }
     if task.dim != 2:
         return payload
@@ -211,7 +208,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     record = ga_run(ga_cfg, task, cfg.base_seed)
     os.makedirs(cfg.out, exist_ok=True)
     meta = cfg.metadata(seed=record.seed,
-                        rounding_bound=genome_mod.rounding_error_bound(ga_cfg.codec, ga_cfg.n_slots))
+                        rounding_bound=genome_mod.rounding_error_bound(ga_cfg.codec, task))
     files.write_run_csv(os.path.join(cfg.out, f"run_{record.seed}.csv"), record, 0, meta)
     files.write_genome_json(os.path.join(cfg.out, f"genome_{record.seed}.json"),
                             record.best_genome, meta)
@@ -298,9 +295,6 @@ def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
 
 
 def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
-    if figure not in _FIGURE_NPOPS:
-        print(f"error: unknown figure {figure!r}", file=sys.stderr)
-        return EXIT_ERROR
     task = resolve_task(cfg.task)
     os.makedirs(cfg.out, exist_ok=True)
     worst = EXIT_OK
@@ -404,10 +398,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         if args.command == "fit":
             return cmd_fit(cfg, args.input, args.bins)
-        if args.command == "reproduce":
-            return cmd_reproduce(cfg, explicit, args.figure)
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_ERROR
+        return cmd_reproduce(cfg, explicit, args.figure)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

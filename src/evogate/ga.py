@@ -1,20 +1,21 @@
 """Generational genetic algorithm over binary genomes.
 
 A population is a single int64 array of shape ``(n_pop, n_slots,
-n_components)``: each chromosome is carried as its integer code, the ``L``
-genes read as an unsigned ``L``-bit integer with gene 1 the most significant
-bit (:func:`evogate.genome.pack`).  Bit arrays appear only at the edges of a
-run: the init draw is packed once, and the best genome of the final
-generation is unpacked once into ``RunRecord.best_genome``.  Fitness
-evaluation vectorizes across all candidates.  Randomness comes from four
-named PCG64 streams derived from the run seed (population init, parent
-selection, crossover cut points, mutation), which makes every run a pure
-function of (config, task, seed).
+n_components)``, the last two fixed by the task: each chromosome is carried
+as its integer code, the ``L`` genes read as an unsigned ``L``-bit integer
+with gene 1 the most significant bit (:func:`evogate.genome.pack`).  Bit
+arrays appear only at the edges of a run: the init draw is packed once, and
+the best genome of the final generation is unpacked once into
+``RunRecord.best_genome``.  Fitness evaluation vectorizes across all
+candidates.  Randomness comes from four named PCG64 streams derived from the
+run seed (population init, parent selection, crossover cut points,
+mutation), which makes every run a pure function of (config, task, seed).
 
 Draw contract, so that ports can match run for run; it is stated in genes
 and does not depend on the code representation.  The init stream makes one
 draw per run (see ``run``).  A generation with ``P = ceil((n_pop -
-elitism) / 2)`` pairs, ``S`` slots, ``C`` components and depth ``L`` draws:
+elitism) / 2)`` pairs, the task's ``S`` slots and ``C`` components, and codec
+depth ``L`` draws:
 
 * selection: one double per rank draw, pair by pair: the first parent's
   rank, then the second's, redrawn until it differs from the first.  A
@@ -87,12 +88,12 @@ class RngStreams:
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Search settings; ``codec`` and ``n_slots`` fix the genome shape."""
+    """Search settings.  ``codec`` fixes the chromosome depth and grid; the
+    task fixes how many chromosomes a genome has."""
 
     n_pop: int
     threshold: float
     codec: CodecConfig
-    n_slots: int
     mutation_rate: float = 0.0
     elitism: int = 0
     max_generations: int = 500
@@ -102,8 +103,6 @@ class GAConfig:
             raise ValueError(f"population size must be >= 2, got {self.n_pop}")
         if not self.threshold > 0:
             raise ValueError(f"termination threshold must be positive, got {self.threshold}")
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation rate must be in [0, 1], got {self.mutation_rate}")
         if not 0 <= self.elitism <= self.n_pop:
@@ -119,10 +118,6 @@ class Population:
 
     genomes: np.ndarray
     fitness: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.genomes.shape[0]
 
     @cached_property
     def mean_fitness(self) -> float:
@@ -150,7 +145,6 @@ class RunRecord:
     """
 
     seed: int
-    config: GAConfig
     mean_fitness: np.ndarray
     fluctuation: np.ndarray
     best_fitness_series: np.ndarray
@@ -287,17 +281,13 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     Deterministic in (cfg, task, seed); a cap stop is a valid outcome, not an
     error.  Generation indices are 1-based and ``q_c`` counts evaluated
     generations, so the initial random population is generation 1.  The
-    initial genomes are one uint8 draw of shape (n_pop, n_slots, components,
-    depth) from the init stream, fixed here so ports can match run for run,
-    packed once into codes.
+    initial genomes are one uint8 draw of shape (n_pop, task.n_slots,
+    task.n_components, depth) from the init stream, fixed here so ports can
+    match run for run, packed once into codes.
     """
-    if cfg.n_slots != task.n_slots:
-        raise ValueError(f"config expects {cfg.n_slots} slots, task has {task.n_slots}")
-    if cfg.codec.dim != task.dim:
-        raise ValueError(f"codec dimension {cfg.codec.dim} != task dimension {task.dim}")
     streams = RngStreams.from_seed(seed)
     bits = streams.init.integers(
-        0, 2, size=(cfg.n_pop, cfg.n_slots, cfg.codec.n_components, cfg.codec.depth),
+        0, 2, size=(cfg.n_pop, task.n_slots, task.n_components, cfg.codec.depth),
         dtype=np.uint8,
     )
     pop = evaluate(genome_mod.pack(bits), task, cfg.codec)
@@ -321,7 +311,6 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     best = float(pop.best_fitness)
     return RunRecord(
         seed=seed,
-        config=cfg,
         mean_fitness=np.array(means),
         fluctuation=np.array(flucts),
         best_fitness_series=np.array(bests),

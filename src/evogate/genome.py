@@ -2,12 +2,14 @@
 
 A chromosome is a fixed-length string of ``L`` 0/1 genes; a parameter vector
 for one trainable unitary needs ``d*d - 1`` chromosomes, and a genome stacks
-one such block per trainable slot.  A chromosome has two forms: a uint8 bit
-array (last axis the genes, gene 1 first), used at the edges of a run and in
-every output file, and its integer code, the genes read as one unsigned
-``L``-bit int64 with gene 1 the most significant bit, which the search
-carries.  :func:`pack` and :func:`unpack` convert between them.  Genomes are
-treated as immutable values: every operator returns fresh arrays.
+one such block per trainable slot.  The task fixes that shape
+(``TaskSpec.n_slots``, ``TaskSpec.n_components``); the codec fixes only
+``L`` and the grid.  A chromosome has two forms: a uint8 bit array (last
+axis the genes, gene 1 first), used at the edges of a run and in every
+output file, and its integer code, the genes read as one unsigned ``L``-bit
+int64 with gene 1 the most significant bit, which the search carries.
+:func:`pack` and :func:`unpack` convert between them.  Genomes are treated
+as immutable values: every operator returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -43,19 +45,16 @@ MAX_DEPTH = 52
 class CodecConfig:
     """Fixed-point binary codec for rotation parameters.
 
-    ``depth`` is the number of genes per chromosome, ``half_range`` the
-    magnitude the code approaches at its ends, and ``dim`` the Hilbert-space
-    dimension (a parameter vector has ``dim**2 - 1`` components).  The
-    decoded grid has ``2**depth`` points with spacing
-    ``half_range * 2**(1 - depth)``, symmetric about zero.  ``depth`` runs
-    from 1 to :data:`MAX_DEPTH` (52), where the grid is still exact in
-    double precision; ``half_range`` must keep ``3 * half_range**2`` finite
-    (below about 7.7e153).
+    ``depth`` is the number of genes per chromosome and ``half_range`` the
+    magnitude the code approaches at its ends.  The decoded grid has
+    ``2**depth`` points with spacing ``half_range * 2**(1 - depth)``,
+    symmetric about zero.  ``depth`` runs from 1 to :data:`MAX_DEPTH` (52),
+    where the grid is still exact in double precision; ``half_range`` must
+    keep ``3 * half_range**2`` finite (below about 7.7e153).
     """
 
     depth: int
     half_range: float = math.pi
-    dim: int = 2
 
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
@@ -64,18 +63,11 @@ class CodecConfig:
         if not (self.half_range > 0 and math.isfinite(3 * self.half_range * self.half_range)):
             raise ValueError("half_range must be positive with 3 * half_range**2 finite, "
                              f"got {self.half_range}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
 
     @property
     def spacing(self) -> float:
         """Gap between neighboring decodable values."""
         return self.half_range * 2.0 ** (1 - self.depth)
-
-    @property
-    def n_components(self) -> int:
-        """Chromosomes per parameter vector."""
-        return self.dim * self.dim - 1
 
 
 def pack(bits: np.ndarray) -> np.ndarray:
@@ -148,13 +140,14 @@ def encode_nearest(values: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return unpack(np.clip(ints, 0, full - 1), cfg.depth)
 
 
-def rounding_error_bound(cfg: CodecConfig, n_slots: int) -> float:
+def rounding_error_bound(cfg: CodecConfig, task) -> float:
     """Diagnostic scale of the error floor from the finite bit depth.
 
-    Proportional bound ``d**2 * n_slots * spacing``; halves when the depth
-    grows by one and doubles with the slot count.
+    Proportional bound ``d**2 * n_slots * spacing`` for the dimension ``d``
+    and trainable-slot count of ``task`` (a :class:`evogate.tasks.TaskSpec`);
+    halves when the depth grows by one and doubles with the slot count.
     """
-    return cfg.dim**2 * n_slots * cfg.spacing
+    return task.dim**2 * task.n_slots * cfg.spacing
 
 
 def chromosome_to_string(bits: np.ndarray) -> str:

@@ -1,5 +1,9 @@
 """Training tasks: circuit templates, oracle tables, and input-target sets.
 
+A task fixes the genome shape of its search: one parameter vector of
+``n_components = dim**2 - 1`` chromosomes for each of its ``n_slots``
+trainable slots.
+
 A circuit template is an ordered list of slots; the first listed slot acts
 first on the state, so the total operator is the product of the slot
 matrices taken right to left ("rightmost-acts-first").  Trainable slots are
@@ -85,11 +89,6 @@ class CircuitTemplate:
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError(f"trainable indices must be 1..n without gaps, got {indices}")
 
-    @cached_property
-    def n_trainable(self) -> int:
-        """Number of trainable slots, counted once per template."""
-        return sum(1 for s in self.slots if isinstance(s, TrainableSlot))
-
 
 def _frozen_state(v) -> np.ndarray:
     arr = np.array(v, dtype=complex)
@@ -161,9 +160,15 @@ class TaskSpec:
     def dim(self) -> int:
         return self.template.dim
 
-    @property
+    @cached_property
     def n_slots(self) -> int:
-        return self.template.n_trainable
+        """Number of trainable slots, counted once per task."""
+        return sum(1 for s in self.template.slots if isinstance(s, TrainableSlot))
+
+    @property
+    def n_components(self) -> int:
+        """Chromosomes per trainable slot: the ``dim**2 - 1`` rotation parameters."""
+        return self.dim * self.dim - 1
 
     @cached_property
     def _circuit_plan(self) -> tuple:
@@ -266,10 +271,8 @@ def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str
     in their family table.  Slots multiply right to left, first listed acting
     first on the state.
     """
-    if codec.dim != task.dim:
-        raise ValueError(f"codec dimension {codec.dim} != task dimension {task.dim}")
     params = genome_mod.decode(np.asarray(genome), codec)
-    if params.shape != (task.n_slots, codec.n_components):
+    if params.shape != (task.n_slots, task.n_components):
         raise ValueError(
             f"genome shape {params.shape} does not match {task.n_slots} trainable slots"
         )
@@ -290,7 +293,7 @@ def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str
 def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
     """Mean output fidelity against the targets, batched over candidates.
 
-    ``params`` has shape ``(..., n_slots, d*d-1)``; the result drops the last
+    ``params`` has shape ``(..., n_slots, n_components)``; the result drops the last
     two axes.  Each candidate scores the average of ``|<target_x| U_total(x)
     |initial>|**2`` over the task's input-target pairs.
 
@@ -307,10 +310,9 @@ def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
     """
     params = np.asarray(params, dtype=float)
     d = task.dim
-    if params.shape[-2:] != (task.n_slots, d * d - 1):
-        raise ValueError(
-            f"params must end in shape {(task.n_slots, d * d - 1)}, got {params.shape[-2:]}"
-        )
+    shape = (task.n_slots, task.n_components)
+    if params.shape[-2:] != shape:
+        raise ValueError(f"params must end in shape {shape}, got {params.shape[-2:]}")
     lead = params.shape[:-2]
     us = _trainable_unitaries(params.reshape((-1,) + params.shape[-2:]), d)
     # (slots, d, d, batch): the candidates are einsum's inner loop
@@ -385,8 +387,9 @@ def task_to_dict(task: TaskSpec) -> dict:
 
 
 def task_from_dict(data: dict) -> TaskSpec:
-    """Inverse of :func:`task_to_dict`.  A field of the wrong type raises
-    ``ValueError``, as any other malformed description does."""
+    """Inverse of :func:`task_to_dict`.  A missing key or a field of the
+    wrong type raises ``ValueError``, as any other malformed description
+    does."""
     try:
         order = data.get("slot_order", SLOT_ORDER_CONVENTION)
         if order != SLOT_ORDER_CONVENTION:
@@ -410,6 +413,8 @@ def task_from_dict(data: dict) -> TaskSpec:
             },
             name=data.get("name", ""),
         )
+    except KeyError as exc:
+        raise ValueError(f"malformed task description: missing key {exc.args[0]!r}") from exc
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed task description: {exc}") from exc
 

@@ -16,7 +16,7 @@ from evogate.cli import main as cli_main
 from evogate.ga import GAConfig
 from evogate.genome import CodecConfig
 
-CODEC = CodecConfig(depth=15, dim=2)
+CODEC = CodecConfig(depth=15)
 TASK = tasks.deutsch_task()
 ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -32,7 +32,7 @@ def _report(num, desc, check):
 
 def _sweep(n_pop, seeds, threshold=1e-4):
     cfg = GAConfig(
-        n_pop=n_pop, threshold=threshold, codec=CODEC, n_slots=2,
+        n_pop=n_pop, threshold=threshold, codec=CODEC,
         mutation_rate=0.0, elitism=0, max_generations=300,
     )
     return [ga.run(cfg, TASK, seed) for seed in range(1, seeds + 1)]
@@ -233,7 +233,7 @@ def test_criterion_8_known_solution_sanity():
         chrom = genome.encode_nearest(p_h, CODEC)
         nearest = np.stack([chrom, chrom])
         fitness = float(tasks.population_fitness(TASK, genome.decode(nearest, CODEC)))
-        bound = genome.rounding_error_bound(CODEC, n_slots=2)
+        bound = genome.rounding_error_bound(CODEC, TASK)
         assert fitness >= 1.0 - bound, f"fitness {fitness:.6f} below 1 - {bound:.2e}"
         return f"fitness {fitness:.10f} >= 1 - {bound:.2e}"
 

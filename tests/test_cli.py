@@ -82,6 +82,7 @@ def test_unknown_config_key_fails(tmp_path):
 def test_usage_error_exit_code():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
+    assert main(["reproduce", "fig9"]) == 1
     assert main(["--version"]) == 0
 
 
@@ -179,7 +180,7 @@ def test_run_accepts_task_file(tmp_path):
     assert (out / "run_1.csv").exists()
 
 
-@pytest.mark.parametrize("field, value", [("oracle_families", []), ("slots", 5)])
+@pytest.mark.parametrize("field, value", [("oracle_families", []), ("slots", 5), ("slots", [{}])])
 def test_run_rejects_a_mistyped_task_file(tmp_path, field, value):
     from evogate import tasks
 
@@ -269,6 +270,42 @@ def test_sweep_outputs_and_worker_determinism(tmp_path):
     for row in alpha_rows:
         assert 0.0 <= float(row["alpha"]) <= 1.0
         assert -math.pi < float(row["phi"]) <= math.pi
+
+
+def _qutrit_task():
+    """A d = 3 task: two trainable slots around a phase oracle, three pairs."""
+    from evogate import tasks
+
+    w = np.exp(2j * np.pi / 3)
+    oracles = {x: np.diag([1, w**k, w ** (2 * k)]) for k, x in enumerate("abc")}
+    targets = {x: np.eye(3)[k] for k, x in enumerate("abc")}
+    template = tasks.CircuitTemplate(3, (tasks.TrainableSlot(1), tasks.OracleSlot(),
+                                         tasks.TrainableSlot(2)))
+    return tasks.TaskSpec(template, np.eye(3)[0], tuple(targets.items()),
+                          {"oracle": oracles}, name="qutrit")
+
+
+def test_sweep_on_a_qutrit_task_file(tmp_path):
+    # the genome shape of a d = 3 search comes from the task alone
+    from evogate import tasks
+
+    task_path = tmp_path / "qutrit.json"
+    tasks.save_task(_qutrit_task(), task_path)
+    task = tasks.load_task(task_path)
+    out = tmp_path / "o"
+    rc = main(["sweep", "--task", str(task_path), "--npop", "8", "--depth", "10",
+               "--seeds", "3", "--max-gen", "4", "--out", str(out)])
+    assert rc == 0
+    _, _, rows = read_table(out / "runs.csv")
+    assert len(rows) == 3
+    codec = genome.CodecConfig(depth=10)
+    for row in rows:
+        best = genome.genome_from_field(row["best_genome"])
+        assert best.shape == (2, 8, 10)  # d*d - 1 = 8 chromosomes per slot
+        score = tasks.population_fitness(task, genome.decode(best, codec))
+        assert float(score) == float(row["best_fitness"])
+    assert (out / "stats.csv").exists()
+    assert not (out / "alpha_phi.csv").exists()
 
 
 def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):

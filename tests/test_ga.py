@@ -8,12 +8,12 @@ from evogate import ga, genome, tasks
 from evogate.ga import GAConfig, Population, RngStreams
 from evogate.genome import CodecConfig
 
-CODEC = CodecConfig(depth=15, dim=2)
+CODEC = CodecConfig(depth=15)
 TASK = tasks.deutsch_task()
 
 
 def make_config(n_pop=20, **kw):
-    defaults = dict(n_pop=n_pop, threshold=1e-4, codec=CODEC, n_slots=2)
+    defaults = dict(n_pop=n_pop, threshold=1e-4, codec=CODEC)
     defaults.update(kw)
     return GAConfig(**defaults)
 
@@ -187,7 +187,7 @@ def test_crossover_identical_parents(monkeypatch):
 
 
 def test_crossover_conserves_bits_per_position(monkeypatch):
-    codec = CodecConfig(depth=8, dim=2)
+    codec = CodecConfig(depth=8)
     cfg = make_config(n_pop=100, codec=codec)
     rng = np.random.default_rng(5)
     for seed in range(200):  # 50 pairs each: 10,000 pairs
@@ -202,7 +202,7 @@ def test_crossover_swaps_one_contiguous_segment(monkeypatch):
     # all-zero vs all-one parents: kid a differs from its first parent
     # exactly on the swap mask; 1400 slots x 3 components = 4200 chromosomes
     depth = 6
-    cfg = make_config(n_pop=2, codec=CodecConfig(depth=depth, dim=2), n_slots=1400)
+    cfg = make_config(n_pop=2, codec=CodecConfig(depth=depth))
     genomes = np.stack([np.zeros((1400, 3, depth), np.uint8), np.ones((1400, 3, depth), np.uint8)])
     kids, pairs, _ = _bred(genomes, cfg, 7, monkeypatch)
     masks = (kids[0] ^ genomes[pairs[0, 0]]).reshape(-1, depth)
@@ -243,7 +243,7 @@ def test_mutate_full_rate_is_complement():
 
 def test_mutate_flip_fraction(monkeypatch):
     # 8 all-zero genomes of 2778 slots x 3 x 15 genes: 1,000,080 genes bred
-    cfg = make_config(n_pop=8, mutation_rate=0.01, n_slots=2778)
+    cfg = make_config(n_pop=8, mutation_rate=0.01)
     kids, _, _ = _bred(np.zeros((8, 2778, 3, 15), np.uint8), cfg, 3, monkeypatch)
     assert 0.008 <= kids.mean() <= 0.012
 
@@ -288,7 +288,7 @@ def test_evaluate_scores_known_genomes():
     near_h = np.stack([genome.encode_nearest(p_h, CODEC)] * 2)
     near_id = np.stack([genome.encode_nearest(np.zeros(3), CODEC)] * 2)
     pop = ga.evaluate(genome.pack(np.stack([near_id, near_h])), TASK, CODEC)
-    bound = genome.rounding_error_bound(CODEC, 2)
+    bound = genome.rounding_error_bound(CODEC, TASK)
     assert pop.fitness[0] >= 1.0 - bound  # near-perfect solution ranks first
     assert abs(pop.fitness[1] - 0.5) <= 1e-3  # near-identity cannot see balance
 
@@ -308,7 +308,7 @@ def test_next_generation_size(n_pop):
     cfg = make_config(n_pop=n_pop)
     pop = ga.evaluate(random_codes(n_pop, seed=1), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(5))
-    assert nxt.size == n_pop
+    assert len(nxt.genomes) == n_pop
 
 
 def test_next_generation_homogeneous_fixed_point():
@@ -378,15 +378,6 @@ def test_run_deutsch_terminates_quickly():
         record = ga.run(cfg, TASK, seed=seed)
         assert record.termination_reason == "converged"
         assert record.q_c <= 60
-
-
-def test_run_validates_config_against_task():
-    bad_slots = make_config(n_pop=6, n_slots=3)
-    with pytest.raises(ValueError):
-        ga.run(bad_slots, TASK, seed=0)
-    bad_dim = make_config(n_pop=6, codec=CodecConfig(depth=15, dim=3), n_slots=2)
-    with pytest.raises(ValueError):
-        ga.run(bad_dim, TASK, seed=0)
 
 
 def test_config_validation():

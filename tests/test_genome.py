@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evogate import genome
+from evogate import genome, tasks
 from evogate.genome import CodecConfig
 
 
@@ -133,7 +133,7 @@ def test_encode_nearest_clips_out_of_range():
 
 
 def test_decode_rejects_wrong_depth():
-    cfg = CodecConfig(depth=5, dim=2)
+    cfg = CodecConfig(depth=5)
     values = genome.decode(np.zeros((3, 5), dtype=np.uint8), cfg)
     assert values.shape == (3,)
     assert np.all(values == -cfg.half_range * (1 - 2.0**-5))
@@ -142,13 +142,17 @@ def test_decode_rejects_wrong_depth():
 
 
 def test_rounding_error_bound_values():
-    cfg = CodecConfig(depth=15, half_range=math.pi, dim=2)
-    bound = genome.rounding_error_bound(cfg, n_slots=2)
+    cfg = CodecConfig(depth=15, half_range=math.pi)
+    task = tasks.deutsch_task()  # d = 2, two trainable slots
+    bound = genome.rounding_error_bound(cfg, task)
     assert bound == 8.0 * math.pi * 2.0**-14
     assert abs(bound - 1.5e-3) < 5e-5
-    deeper = genome.rounding_error_bound(CodecConfig(depth=16, dim=2), n_slots=2)
+    deeper = genome.rounding_error_bound(CodecConfig(depth=16), task)
     assert deeper == bound / 2.0
-    assert genome.rounding_error_bound(cfg, n_slots=4) == 2.0 * bound
+    ket0 = np.array([1.0, 0.0])
+    slots = tuple(tasks.TrainableSlot(k) for k in range(1, 5))
+    four = tasks.TaskSpec(tasks.CircuitTemplate(2, slots), ket0, (("x", ket0),))
+    assert genome.rounding_error_bound(cfg, four) == 2.0 * bound
 
 
 def test_codec_validation():
@@ -162,8 +166,6 @@ def test_codec_validation():
             CodecConfig(depth=depth)
     with pytest.raises(ValueError):
         CodecConfig(depth=3, half_range=0.0)
-    with pytest.raises(ValueError):
-        CodecConfig(depth=3, dim=1)
 
 
 def test_codec_rejects_half_range_whose_squares_overflow():

@@ -15,7 +15,7 @@ from evogate.tasks import (
     population_fitness,
 )
 
-CODEC = CodecConfig(depth=15, dim=2)
+CODEC = CodecConfig(depth=15)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
@@ -179,7 +179,7 @@ def _general_task(d, kinds, seed):
 @pytest.mark.parametrize("kinds", ["TOTO", "OTOT", "TTOT", "TOOT", "TT"])
 def test_population_fitness_matches_reference_bit_for_bit(d, kinds):
     task = _general_task(d, kinds, seed=len(kinds) + d)
-    codec = CodecConfig(depth=12, dim=d)
+    codec = CodecConfig(depth=12)
     rng = np.random.default_rng(d)
     genomes = rng.integers(0, 2, size=(400, task.n_slots, d * d - 1, 12), dtype=np.uint8)
     params = genome.decode(genomes, codec)
@@ -280,7 +280,7 @@ def test_defect_bounded_by_error_on_converged_runs():
     from evogate import analysis, ga
 
     task = deutsch_task()
-    cfg = ga.GAConfig(n_pop=40, threshold=1e-4, codec=CODEC, n_slots=2, max_generations=200)
+    cfg = ga.GAConfig(n_pop=40, threshold=1e-4, codec=CODEC, max_generations=200)
     records = [ga.run(cfg, task, seed) for seed in range(1, 31)]
     checked = 0
     for rec in records:
