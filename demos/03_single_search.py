@@ -26,7 +26,9 @@ for g in range(0, record.q_c, max(1, record.q_c // 10)):
     print(f"{g + 1:10d}  {record.mean_fitness[g]:.6f}      {record.fluctuation[g]:.6f}     "
           f"{record.best_fitness_series[g]:.6f}")
 
-# what did it find?  decode the winning genome and look at the geometry
+# what did it find?  decode the winning genome's integer codes and look at
+# the geometry
+print(f"\nbest genome, one code per rotation parameter: {record.best_genome.tolist()}")
 params = genome.decode(record.best_genome, codec)
 u_first, u_last = linalg.su2_closed_form(params)
 print("\nthe two evolved unitaries, as Bloch rotations:")

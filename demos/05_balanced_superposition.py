@@ -25,7 +25,7 @@ for seed in range(1, SEEDS + 1):
     record = run(config, task, seed)
     if record.termination_reason != "converged" or record.epsilon_opt >= 1e-3:
         continue
-    params = genome.decode(record.best_genome, codec)
+    params = genome.decode(record.best_genome, codec)  # the best genome's codes
     states.append(
         analysis.prepared_state(linalg.su2_closed_form(params[0]), task.initial_state)
     )

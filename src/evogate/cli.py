@@ -209,9 +209,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     meta = cfg.metadata(seed=record.seed,
                         rounding_bound=genome_mod.rounding_error_bound(ga_cfg.codec, task))
-    files.write_run_csv(os.path.join(cfg.out, f"run_{record.seed}.csv"), record, 0, meta)
+    files.write_run_csv(os.path.join(cfg.out, f"run_{record.seed}.csv"), record, cfg.depth, meta)
     files.write_genome_json(os.path.join(cfg.out, f"genome_{record.seed}.json"),
-                            record.best_genome, meta)
+                            record.best_genome, cfg.depth, meta)
     files.write_json(
         os.path.join(cfg.out, f"analysis_{record.seed}.json"),
         {"metadata": {"version": __version__, **meta}, **_analysis_payload(record, task, ga_cfg)},
@@ -241,8 +241,9 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
     for i, (status, rec) in enumerate(results):
         if status == "ok":
             records.append(rec)
+            field = genome_mod.genome_to_field(rec.best_genome, cfg.depth)
             rows.append((i, rec.seed, rec.q_c, rec.epsilon_opt, rec.best_fitness,
-                         rec.termination_reason, genome_mod.genome_to_field(rec.best_genome)))
+                         rec.termination_reason, field))
         else:
             rows.append((i, seeds[i], 0, math.nan, math.nan, "error", ""))
     files.write_runs_csv(path("runs.csv"), rows, meta)

@@ -71,10 +71,10 @@ def _csv(metadata: dict, header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_csv(path, record, run_id: int, metadata: dict) -> None:
-    """One generation per row, then a one-row summary section."""
+def write_run_csv(path, record, depth: int, metadata: dict) -> None:
+    """One generation per row, then a one-row summary section (run id 0)."""
     rows = [
-        (run_id, record.seed, g + 1, record.mean_fitness[g], record.fluctuation[g],
+        (0, record.seed, g + 1, record.mean_fitness[g], record.fluctuation[g],
          record.best_fitness_series[g])
         for g in range(record.q_c)
     ]
@@ -82,8 +82,8 @@ def write_run_csv(path, record, run_id: int, metadata: dict) -> None:
     summary = ",".join(
         fmt(cell)
         for cell in (
-            run_id, record.seed, record.q_c, record.epsilon_opt,
-            record.termination_reason, genome_mod.genome_to_field(record.best_genome),
+            0, record.seed, record.q_c, record.epsilon_opt,
+            record.termination_reason, genome_mod.genome_to_field(record.best_genome, depth),
         )
     )
     write_text(path, body + RUN_SUMMARY_HEADER + "\n" + summary + "\n")
@@ -108,10 +108,10 @@ def write_fit_csv(path, fit, metadata: dict) -> None:
     write_text(path, _csv(metadata, FIT_HEADER, [row]))
 
 
-def write_genome_json(path, genome: np.ndarray, metadata: dict) -> None:
+def write_genome_json(path, codes: np.ndarray, depth: int, metadata: dict) -> None:
     """Genome file: bit strings as ordered lists, slot index then generator index."""
     write_json(path, {"metadata": {"version": __version__, **metadata},
-                      "slots": genome_mod.genome_to_strings(genome)})
+                      "slots": genome_mod.genome_to_strings(codes, depth)})
 
 
 def write_json(path, payload: dict) -> None:

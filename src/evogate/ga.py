@@ -3,10 +3,9 @@
 A population is a single int64 array of shape ``(n_pop, n_slots,
 n_components)``, the last two fixed by the task: each chromosome is carried
 as its integer code, the ``L`` genes read as an unsigned ``L``-bit integer
-with gene 1 the most significant bit (:func:`evogate.genome.pack`).  Bit
-arrays appear only at the edges of a run: the init draw is packed once, and
-the best genome of the final generation is unpacked once into
-``RunRecord.best_genome``.  Fitness evaluation vectorizes across all
+with gene 1 the most significant bit.  Genes exist as bits only where they
+are drawn: the init draw and the mutation flips are packed into codes
+(:func:`evogate.genome.pack`).  Fitness evaluation vectorizes across all
 candidates.  Randomness comes from four named PCG64 streams derived from the
 run seed (population init, parent selection, crossover cut points,
 mutation), which makes every run a pure function of (config, task, seed).
@@ -141,7 +140,7 @@ class RunRecord:
     Per-generation series all have length ``q_c``; ``best_genome`` and the
     derived ``best_fitness``/``epsilon_opt`` describe the top individual of
     the final generation, i.e. the solution the run hands back.
-    ``best_genome`` is a ``(slots, components, depth)`` uint8 bit array.
+    ``best_genome`` holds its int64 codes, ``(slots, components)``.
     """
 
     seed: int
@@ -237,7 +236,7 @@ def fitness_fluctuation(pop: Population) -> float:
 def evaluate(codes: np.ndarray, task: TaskSpec, codec: CodecConfig) -> Population:
     """Score every genome of a code stack and sort descending (stable, so
     ties keep order)."""
-    fitness = population_fitness(task, genome_mod.decode_codes(codes, codec))
+    fitness = population_fitness(task, genome_mod.decode(codes, codec))
     order = np.argsort(-fitness, kind="stable")
     return Population(codes.take(order, axis=0), fitness.take(order))
 
@@ -316,7 +315,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         best_fitness_series=np.array(bests),
         q_c=generation,
         termination_reason=reason,
-        best_genome=genome_mod.unpack(pop.best_genome, cfg.codec.depth),
+        best_genome=pop.best_genome.copy(),  # a view would pin the whole population
         best_fitness=best,
         epsilon_opt=1.0 - best,
     )

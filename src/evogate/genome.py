@@ -4,12 +4,11 @@ A chromosome is a fixed-length string of ``L`` 0/1 genes; a parameter vector
 for one trainable unitary needs ``d*d - 1`` chromosomes, and a genome stacks
 one such block per trainable slot.  The task fixes that shape
 (``TaskSpec.n_slots``, ``TaskSpec.n_components``); the codec fixes only
-``L`` and the grid.  A chromosome has two forms: a uint8 bit array (last
-axis the genes, gene 1 first), used at the edges of a run and in every
-output file, and its integer code, the genes read as one unsigned ``L``-bit
-int64 with gene 1 the most significant bit, which the search carries.
-:func:`pack` and :func:`unpack` convert between them.  Genomes are treated
-as immutable values: every operator returns fresh arrays.
+``L`` and the grid.  A chromosome is carried as its integer code: the genes
+read as one unsigned ``L``-bit int64, gene 1 the most significant bit.
+:func:`pack` turns drawn 0/1 genes into codes; output files write each code
+as its ``L``-digit binary string.  Genomes are treated as immutable values:
+every operator returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ import numpy as np
 __all__ = [
     "CodecConfig",
     "MAX_DEPTH",
-    "chromosome_from_string",
-    "chromosome_to_string",
     "decode",
-    "decode_codes",
     "encode_nearest",
     "genome_from_field",
     "genome_from_strings",
@@ -34,7 +30,6 @@ __all__ = [
     "genome_to_strings",
     "pack",
     "rounding_error_bound",
-    "unpack",
 ]
 
 # the largest depth whose grid numerators 2*u + 1 - 2**depth are exact doubles
@@ -82,12 +77,6 @@ def pack(bits: np.ndarray) -> np.ndarray:
     return (bits.reshape(-1, depth) @ _place_values(depth)).reshape(bits.shape[:-1])
 
 
-def unpack(codes: np.ndarray, depth: int) -> np.ndarray:
-    """Inverse of :func:`pack`: ``(...)`` codes -> ``(..., depth)`` uint8 genes."""
-    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(codes)[..., None] >> shifts) & 1).astype(np.uint8)
-
-
 @lru_cache(maxsize=None)
 def _place_values(depth: int) -> np.ndarray:
     """Read-only int64 weights 2**(depth-l) of genes l = 1..depth."""
@@ -96,48 +85,30 @@ def _place_values(depth: int) -> np.ndarray:
     return place
 
 
-def decode_codes(codes: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+def decode(codes: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """Map integer chromosome codes to reals on the symmetric grid.
 
-    Code ``u`` in ``[0, 2**L)`` decodes to ``R * (2*u + 1 - 2**L) / 2**L``.
-    ``2*u + 1 - 2**L`` is an exact int64 whose magnitude stays below
-    ``2**L``, so it converts to a double exactly while ``L <= 52`` (the
-    bound :class:`CodecConfig` enforces), and ``R / 2**L`` only rescales R
-    by a power of two: the product rounds once, like ``R * ((2*u + 1 -
-    2**L) / 2**L)``.  The output has the shape of ``codes``.
+    Code ``u`` in ``[0, 2**L)`` decodes to ``R * (2*u + 1 - 2**L) / 2**L``,
+    one of ``2**L`` equally spaced values in ``[-R(1 - 2**-L), +R(1 - 2**-L)]``.
+    ``2*u + 1 - 2**L`` is an exact int64 below ``2**L`` in magnitude, so it
+    converts to a double exactly while ``L <= 52`` (the bound
+    :class:`CodecConfig` enforces), and ``R / 2**L`` only rescales R by a
+    power of two: the product rounds once, like ``R * ((2*u + 1 - 2**L) /
+    2**L)``.  The output has the shape of ``codes``.
     """
     full = 1 << cfg.depth
     return (2 * np.asarray(codes) + (1 - full)) * (cfg.half_range / full)
 
 
-def decode(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Map 0/1 gene strings to reals on the symmetric grid.
-
-    Gene ``l`` (1-based, most significant first) contributes
-    ``+half_range / 2**l`` when set and ``-half_range / 2**l`` when clear, so
-    an ``L``-bit string lands on one of ``2**L`` equally spaced values in
-    ``[-R(1 - 2**-L), +R(1 - 2**-L)]``.  This is :func:`decode_codes` of the
-    :func:`pack`-ed genes, so a bit array and its code decode to the same
-    bits.
-
-    The last axis is the chromosome; leading axes pass through, so a whole
-    genome (or population of genomes) decodes in one call.
-    """
-    bits = np.asarray(bits)
-    if bits.shape[-1] != cfg.depth:
-        raise ValueError(f"chromosome length {bits.shape[-1]} != codec depth {cfg.depth}")
-    return decode_codes(pack(bits), cfg)
-
-
 def encode_nearest(values: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Bits of the grid point nearest each value (clipped to the code range).
+    """Code of the grid point nearest each value (clipped to the code range).
 
     Inverse of :func:`decode` on the grid: ``encode_nearest(decode(c)) == c``.
     """
     x = np.asarray(values, dtype=float)
     full = 1 << cfg.depth
     ints = np.rint((x / cfg.half_range * full - 1 + full) / 2.0).astype(np.int64)
-    return unpack(np.clip(ints, 0, full - 1), cfg.depth)
+    return np.clip(ints, 0, full - 1)
 
 
 def rounding_error_bound(cfg: CodecConfig, task) -> float:
@@ -150,34 +121,25 @@ def rounding_error_bound(cfg: CodecConfig, task) -> float:
     return task.dim**2 * task.n_slots * cfg.spacing
 
 
-def chromosome_to_string(bits: np.ndarray) -> str:
-    """Chromosome as a '0'/'1' string, most significant gene first."""
-    return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
-
-
-def chromosome_from_string(s: str) -> np.ndarray:
-    """Parse a '0'/'1' string back into a chromosome."""
-    if not s or any(ch not in "01" for ch in s):
-        raise ValueError(f"invalid chromosome string: {s!r}")
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
-def genome_to_strings(genome: np.ndarray) -> list[list[str]]:
-    """Genome as nested lists of bit strings, slot index then generator index."""
-    genome = np.asarray(genome)
-    return [[chromosome_to_string(chrom) for chrom in slot] for slot in genome]
+def genome_to_strings(codes: np.ndarray, depth: int) -> list[list[str]]:
+    """Genome codes as nested lists of ``depth``-digit bit strings, gene 1
+    first, slot index then generator index."""
+    return [[f"{code:0{depth}b}" for code in slot] for slot in np.asarray(codes).tolist()]
 
 
 def genome_from_strings(strings) -> np.ndarray:
-    """Inverse of :func:`genome_to_strings`."""
-    return np.stack(
-        [np.stack([chromosome_from_string(s) for s in slot]) for slot in strings]
-    ).astype(np.uint8)
+    """Inverse of :func:`genome_to_strings`: int64 codes ``(slots, components)``
+    of nonempty '0'/'1' strings, all of one length."""
+    chromosomes = [s for slot in strings for s in slot]
+    for s in chromosomes:
+        if not s or any(ch not in "01" for ch in s) or len(s) != len(chromosomes[0]):
+            raise ValueError(f"invalid chromosome string {s!r}: want 0/1, all of one length")
+    return np.array([[int(s, 2) for s in slot] for slot in strings], dtype=np.int64)
 
 
-def genome_to_field(genome: np.ndarray) -> str:
+def genome_to_field(codes: np.ndarray, depth: int) -> str:
     """Genome as a single CSV-safe field: chromosomes joined by '|', slots by ';'."""
-    return ";".join("|".join(slot) for slot in genome_to_strings(genome))
+    return ";".join("|".join(slot) for slot in genome_to_strings(codes, depth))
 
 
 def genome_from_field(field: str) -> np.ndarray:

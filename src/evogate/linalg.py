@@ -49,19 +49,13 @@ def generator_stack(d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"generator basis needs dimension >= 2, got {d}")
     mats = []
-    # symmetric off-diagonal pairs, lexicographic in (j, k)
-    for j in range(d):
-        for k in range(j + 1, d):
+    # symmetric off-diagonal pairs, lexicographic in (j, k), then the
+    # antisymmetric pairs in the same order
+    for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):
+        for j, k in ((j, k) for j in range(d) for k in range(j + 1, d)):
             m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-    # antisymmetric off-diagonal pairs, same order
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
+            m[j, k] = upper
+            m[k, j] = lower
             mats.append(m)
     # diagonal matrices, one per leading block size
     for l in range(1, d):

@@ -116,7 +116,7 @@ class TaskSpec:
         init = _frozen_state(self.initial_state)
         if init.shape != (d,):
             raise ValueError(f"initial state must have shape ({d},), got {init.shape}")
-        if abs(np.linalg.norm(init) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(init) - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError("initial state must be normalized")
         object.__setattr__(self, "initial_state", init)
 
@@ -125,7 +125,7 @@ class TaskSpec:
             t = _frozen_state(target)
             if t.shape != (d,):
                 raise ValueError(f"target for {label!r} must have shape ({d},)")
-            if abs(np.linalg.norm(t) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(t) - 1.0) <= 1e-10:
                 raise ValueError(f"target for {label!r} must be normalized")
             pairs.append((str(label), t))
         if not pairs:
@@ -139,7 +139,7 @@ class TaskSpec:
                 m = _frozen_state(mat)
                 if m.shape != (d, d):
                     raise ValueError(f"oracle {fam!r}/{label!r} must be {d}x{d}")
-                if np.max(np.abs(m.conj().T @ m - np.eye(d))) > UNITARY_TOL:
+                if not np.max(np.abs(m.conj().T @ m - np.eye(d))) <= UNITARY_TOL:
                     raise ValueError(f"oracle {fam!r}/{label!r} is not unitary")
                 entries[str(label)] = m
             families[str(fam)] = entries
@@ -264,14 +264,14 @@ def _trainable_unitaries(params: np.ndarray, dim: int) -> np.ndarray:
     return su2_closed_form(params) if dim == 2 else unitary_from_params(params, dim)
 
 
-def compose_total(task: TaskSpec, genome: np.ndarray, codec: CodecConfig, x: str) -> np.ndarray:
+def compose_total(task: TaskSpec, codes: np.ndarray, codec: CodecConfig, x: str) -> np.ndarray:
     """Total operator of the circuit for input label ``x`` and one genome.
 
-    Trainable slots are decoded from the genome; oracle slots resolve ``x``
-    in their family table.  Slots multiply right to left, first listed acting
-    first on the state.
+    Trainable slots are decoded from the genome's codes; oracle slots
+    resolve ``x`` in their family table.  Slots multiply right to left,
+    first listed acting first on the state.
     """
-    params = genome_mod.decode(np.asarray(genome), codec)
+    params = genome_mod.decode(codes, codec)
     if params.shape != (task.n_slots, task.n_components):
         raise ValueError(
             f"genome shape {params.shape} does not match {task.n_slots} trainable slots"
@@ -387,9 +387,9 @@ def task_to_dict(task: TaskSpec) -> dict:
 
 
 def task_from_dict(data: dict) -> TaskSpec:
-    """Inverse of :func:`task_to_dict`.  A missing key or a field of the
-    wrong type raises ``ValueError``, as any other malformed description
-    does."""
+    """Inverse of :func:`task_to_dict`.  A missing key, a field of the wrong
+    type or an invalid task raises ``ValueError("malformed task
+    description: ...")``."""
     try:
         order = data.get("slot_order", SLOT_ORDER_CONVENTION)
         if order != SLOT_ORDER_CONVENTION:
@@ -397,12 +397,12 @@ def task_from_dict(data: dict) -> TaskSpec:
         slots = []
         for s in data["slots"]:
             if s["kind"] == "trainable":
-                slots.append(TrainableSlot(int(s["index"])))
+                slots.append(TrainableSlot(_integer(s["index"], "index")))
             elif s["kind"] == "oracle":
                 slots.append(OracleSlot(s.get("family", "oracle")))
             else:
                 raise ValueError(f"unknown slot kind {s['kind']!r}")
-        template = CircuitTemplate(dim=int(data["dim"]), slots=tuple(slots))
+        template = CircuitTemplate(dim=_integer(data["dim"], "dim"), slots=tuple(slots))
         return TaskSpec(
             template=template,
             initial_state=_complex_from_json(data["initial_state"]),
@@ -415,8 +415,14 @@ def task_from_dict(data: dict) -> TaskSpec:
         )
     except KeyError as exc:
         raise ValueError(f"malformed task description: missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed task description: {exc}") from exc
+
+
+def _integer(value, key: str) -> int:
+    if int(value) != value:  # int() alone would truncate 2.7 to 2
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def save_task(task: TaskSpec, path) -> None:

@@ -153,10 +153,7 @@ def test_criterion_4_decoder_exhaustive():
     def check():
         for depth in range(1, 13):
             cfg = CodecConfig(depth=depth)
-            ints = np.arange(1 << depth, dtype=np.int64)
-            shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
-            codes = ((ints[:, None] >> shifts) & 1).astype(np.uint8)
-            values = genome.decode(codes, cfg)
+            values = genome.decode(np.arange(1 << depth, dtype=np.int64), cfg)
             assert len(np.unique(values)) == 1 << depth, f"collisions at L={depth}"
             if depth > 1:
                 gaps = np.diff(np.sort(values))

@@ -114,10 +114,11 @@ def test_run_writes_all_outputs(tmp_path):
     assert summary["q_c"] == str(len(rows))
     assert summary["termination_reason"] in ("converged", "generation-cap")
     best = genome.genome_from_field(summary["best_genome"])
-    assert best.shape == (2, 3, 15)
+    assert best.shape == (2, 3)
+    assert all(len(s) == 15 for s in summary["best_genome"].replace(";", "|").split("|"))
 
     payload = json.loads(genome_json.read_text())
-    assert genome.genome_from_strings(payload["slots"]).shape == (2, 3, 15)
+    assert genome.genome_from_strings(payload["slots"]).shape == (2, 3)
     assert np.array_equal(genome.genome_from_strings(payload["slots"]), best)
 
     side = json.loads(analysis_json.read_text())
@@ -180,7 +181,21 @@ def test_run_accepts_task_file(tmp_path):
     assert (out / "run_1.csv").exists()
 
 
-@pytest.mark.parametrize("field, value", [("oracle_families", []), ("slots", 5), ("slots", [{}])])
+NAN_KET = [[math.nan, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("oracle_families", []), ("slots", 5), ("slots", [{}]),
+    # NaN compares false with every tolerance, so a plain ">" check lets it pass
+    ("initial_state", NAN_KET),
+    ("pairs", [["const0", NAN_KET], ["identity", [[0.0, 0.0], [1.0, 0.0]]]]),
+    ("oracle_families", {"oracle": {"const0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                                    "identity": [NAN_KET, [[0.0, 0.0], [-1.0, 0.0]]]}}),
+    # int() alone would truncate these to 2 and 1
+    ("dim", 2.7),
+    ("slots", [{"kind": "trainable", "index": 1.9}, {"kind": "oracle"},
+               {"kind": "trainable", "index": 2}]),
+])
 def test_run_rejects_a_mistyped_task_file(tmp_path, field, value):
     from evogate import tasks
 
@@ -301,7 +316,7 @@ def test_sweep_on_a_qutrit_task_file(tmp_path):
     codec = genome.CodecConfig(depth=10)
     for row in rows:
         best = genome.genome_from_field(row["best_genome"])
-        assert best.shape == (2, 8, 10)  # d*d - 1 = 8 chromosomes per slot
+        assert best.shape == (2, 8)  # d*d - 1 = 8 chromosomes per slot
         score = tasks.population_fitness(task, genome.decode(best, codec))
         assert float(score) == float(row["best_fitness"])
     assert (out / "stats.csv").exists()

@@ -18,9 +18,18 @@ def make_config(n_pop=20, **kw):
     return GAConfig(**defaults)
 
 
+def random_bits(n_pop, seed=0):
+    return np.random.default_rng(seed).integers(0, 2, size=(n_pop, 2, 3, 15), dtype=np.uint8)
+
+
 def random_codes(n_pop, seed=0):
-    rng = np.random.default_rng(seed)
-    return genome.pack(rng.integers(0, 2, size=(n_pop, 2, 3, 15), dtype=np.uint8))
+    return genome.pack(random_bits(n_pop, seed))
+
+
+def bits_of(codes, depth):
+    """Reference inverse of genome.pack: (...) codes -> (..., depth) uint8 genes."""
+    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(codes)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------- selection
@@ -130,7 +139,7 @@ def _reference_generation(bits, cfg, streams):
 
 def _reference_evaluate(bits):
     """Bits and fitness sorted by descending fitness, ties in order."""
-    fitness = tasks.population_fitness(TASK, genome.decode(bits, CODEC))
+    fitness = tasks.population_fitness(TASK, genome.decode(genome.pack(bits), CODEC))
     order = np.argsort(-fitness, kind="stable")
     return bits[order], fitness[order]
 
@@ -151,13 +160,13 @@ def test_select_parents_matches_per_pair_reference(n_pop):
 def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
     for elitism in sorted({0, 1, n_pop - 1, n_pop}):
         cfg = make_config(n_pop=n_pop, mutation_rate=mutation_rate, elitism=elitism)
-        pop = ga.evaluate(random_codes(n_pop, seed=n_pop + elitism), TASK, CODEC)
+        bits, _ = _reference_evaluate(random_bits(n_pop, seed=n_pop + elitism))
+        pop = ga.evaluate(genome.pack(bits), TASK, CODEC)
         streams, ref = RngStreams.from_seed(elitism), RngStreams.from_seed(elitism)
         for _ in range(4):
             nxt = ga.next_generation(pop, cfg, TASK, streams)
-            bits = genome.unpack(pop.genomes, CODEC.depth)
-            want_bits, want_fitness = _reference_evaluate(_reference_generation(bits, cfg, ref))
-            assert np.array_equal(genome.unpack(nxt.genomes, CODEC.depth), want_bits)
+            bits, want_fitness = _reference_evaluate(_reference_generation(bits, cfg, ref))
+            assert np.array_equal(nxt.genomes, genome.pack(bits))
             assert np.array_equal(nxt.fitness, want_fitness)
             for label in ga.STREAM_LABELS:
                 assert (getattr(streams, label).bit_generator.state
@@ -176,7 +185,7 @@ def _bred(genomes, cfg, seed, monkeypatch):
     pairs = ga.select_parents(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
     pop = Population(genome.pack(genomes), np.zeros(len(genomes)))
     nxt = ga.next_generation(pop, cfg, TASK, streams)
-    return genome.unpack(nxt.genomes, cfg.codec.depth), pairs, streams
+    return bits_of(nxt.genomes, cfg.codec.depth), pairs, streams
 
 
 def test_crossover_identical_parents(monkeypatch):
@@ -238,7 +247,7 @@ def test_mutate_full_rate_is_complement():
     cfg = make_config(n_pop=6, mutation_rate=1.0)
     pop = ga.evaluate(genome.pack(np.repeat(g, 6, axis=0)), TASK, CODEC)
     nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
-    assert np.array_equal(genome.unpack(nxt.genomes, CODEC.depth), np.repeat(1 - g, 6, axis=0))
+    assert np.array_equal(nxt.genomes, genome.pack(np.repeat(1 - g, 6, axis=0)))
 
 
 def test_mutate_flip_fraction(monkeypatch):
@@ -287,7 +296,7 @@ def test_evaluate_scores_known_genomes():
     p_h = (np.pi / 2) * np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
     near_h = np.stack([genome.encode_nearest(p_h, CODEC)] * 2)
     near_id = np.stack([genome.encode_nearest(np.zeros(3), CODEC)] * 2)
-    pop = ga.evaluate(genome.pack(np.stack([near_id, near_h])), TASK, CODEC)
+    pop = ga.evaluate(np.stack([near_id, near_h]), TASK, CODEC)
     bound = genome.rounding_error_bound(CODEC, TASK)
     assert pop.fitness[0] >= 1.0 - bound  # near-perfect solution ranks first
     assert abs(pop.fitness[1] - 0.5) <= 1e-3  # near-identity cannot see balance
@@ -368,8 +377,10 @@ def test_run_series_are_bounded():
     assert np.all((record.fluctuation >= 0) & (record.fluctuation <= 0.5))
     assert 0.0 <= record.epsilon_opt <= 1.0
     assert record.best_fitness == record.best_fitness_series[-1]
-    # the record carries bits, not codes: (slots, components, depth) uint8
-    assert record.best_genome.dtype == np.uint8 and record.best_genome.shape == (2, 3, 15)
+    # the record carries the codes, (slots, components) int64, in an array of
+    # its own: a view would keep the whole final population alive
+    assert record.best_genome.dtype == np.int64 and record.best_genome.shape == (2, 3)
+    assert record.best_genome.base is None
 
 
 def test_run_deutsch_terminates_quickly():

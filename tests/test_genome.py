@@ -15,17 +15,23 @@ def brute_force_decode(bits, cfg):
     return total
 
 
+def bits_of(codes, depth):
+    """Reference inverse of genome.pack: (...) codes -> (..., depth) uint8 genes."""
+    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(codes)[..., None] >> shifts) & 1).astype(np.uint8)
+
+
 def test_all_zero_chromosome_decodes_to_lower_edge():
     for depth in (1, 5, 15):
         cfg = CodecConfig(depth=depth)
-        value = genome.decode(np.zeros(depth, dtype=np.uint8), cfg)
+        value = genome.decode(genome.pack(np.zeros(depth, dtype=np.uint8)), cfg)
         assert value == -cfg.half_range * (1.0 - 2.0**-depth)
 
 
 def test_depth3_example():
     cfg = CodecConfig(depth=3)
     bits = np.array([1, 0, 0], dtype=np.uint8)
-    assert genome.decode(bits, cfg) == cfg.half_range / 8.0
+    assert genome.decode(genome.pack(bits), cfg) == cfg.half_range / 8.0
 
 
 def test_decode_matches_termwise_sum():
@@ -33,7 +39,7 @@ def test_decode_matches_termwise_sum():
     rng = np.random.default_rng(4)
     for _ in range(200):
         bits = rng.integers(0, 2, size=15, dtype=np.uint8)
-        fast = genome.decode(bits, cfg)
+        fast = genome.decode(genome.pack(bits), cfg)
         slow = brute_force_decode(bits, cfg)
         assert abs(fast - slow) <= 1e-15 * cfg.half_range
 
@@ -59,12 +65,9 @@ def test_decode_matches_reference_bit_for_bit(depth):
         reversed_genes = bits[5, 0, 1, ::-1]  # 1-D, negative stride
         for b in (bits, edges, bits[:1], bits[0, 1, 2], strided, reversed_genes, edges[1]):
             want = np.asarray(reference_decode(b, cfg))
-            codes = genome.pack(b)
-            assert np.array_equal(genome.unpack(codes, depth), b)
-            for got in (genome.decode(b, cfg), genome.decode_codes(codes, cfg)):
-                got = np.asarray(got)
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = np.asarray(genome.decode(genome.pack(b), cfg))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("depth", range(1, 53))
@@ -76,7 +79,7 @@ def test_pack_unpack_round_trip(depth):
         codes = genome.pack(b)
         assert codes.dtype == np.int64 and codes.shape == b.shape[:-1]
         assert np.all((0 <= codes) & (codes < 2**depth))
-        assert np.array_equal(genome.unpack(codes, depth), b)
+        assert np.array_equal(bits_of(codes, depth), b)
     # gene 1 is the most significant bit
     assert genome.pack(top) == 2**depth - 1
     first = np.zeros(depth, np.uint8)
@@ -85,16 +88,10 @@ def test_pack_unpack_round_trip(depth):
     assert np.array_equal(genome.pack(bits.astype(bool)), genome.pack(bits))
 
 
-def all_codes(depth):
-    ints = np.arange(1 << depth, dtype=np.int64)
-    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
-    return ((ints[:, None] >> shifts) & 1).astype(np.uint8)
-
-
 @pytest.mark.parametrize("depth", range(1, 13))
 def test_exhaustive_grid_properties(depth):
     cfg = CodecConfig(depth=depth)
-    values = genome.decode(all_codes(depth), cfg)
+    values = genome.decode(np.arange(1 << depth), cfg)
     # strictly increasing in the unsigned-integer reading, hence injective
     assert np.all(np.diff(values) > 0)
     assert len(np.unique(values)) == 1 << depth
@@ -109,12 +106,13 @@ def test_complement_symmetry_is_exact():
     cfg = CodecConfig(depth=15)
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, size=(100, 15), dtype=np.uint8)
-    assert np.array_equal(genome.decode(1 - bits, cfg), -genome.decode(bits, cfg))
+    assert np.array_equal(genome.decode(genome.pack(1 - bits), cfg),
+                          -genome.decode(genome.pack(bits), cfg))
 
 
 def test_encode_nearest_round_trip():
     cfg = CodecConfig(depth=8)
-    codes = all_codes(8)
+    codes = np.arange(1 << 8)
     assert np.array_equal(genome.encode_nearest(genome.decode(codes, cfg), cfg), codes)
     # off-grid values snap to the nearest grid point
     cfg15 = CodecConfig(depth=15)
@@ -128,17 +126,8 @@ def test_encode_nearest_clips_out_of_range():
     cfg = CodecConfig(depth=4)
     top = genome.encode_nearest(10.0 * cfg.half_range, cfg)
     bottom = genome.encode_nearest(-10.0 * cfg.half_range, cfg)
-    assert np.array_equal(top, np.ones(4, dtype=np.uint8))
-    assert np.array_equal(bottom, np.zeros(4, dtype=np.uint8))
-
-
-def test_decode_rejects_wrong_depth():
-    cfg = CodecConfig(depth=5)
-    values = genome.decode(np.zeros((3, 5), dtype=np.uint8), cfg)
-    assert values.shape == (3,)
-    assert np.all(values == -cfg.half_range * (1 - 2.0**-5))
-    with pytest.raises(ValueError):
-        genome.decode(np.zeros(4, dtype=np.uint8), cfg)
+    assert top == genome.pack(np.ones(4, dtype=np.uint8))
+    assert bottom == genome.pack(np.zeros(4, dtype=np.uint8))
 
 
 def test_rounding_error_bound_values():
@@ -179,18 +168,29 @@ def test_codec_rejects_half_range_whose_squares_overflow():
 
 def test_string_serialization_round_trip():
     rng = np.random.default_rng(6)
-    g = rng.integers(0, 2, size=(2, 3, 15), dtype=np.uint8)
-    strings = genome.genome_to_strings(g)
-    assert len(strings) == 2 and len(strings[0]) == 3
-    assert all(len(s) == 15 and set(s) <= {"0", "1"} for slot in strings for s in slot)
-    assert np.array_equal(genome.genome_from_strings(strings), g)
-    field = genome.genome_to_field(g)
-    assert "," not in field
-    assert np.array_equal(genome.genome_from_field(field), g)
+    for depth in (1, 15, 52):
+        bits = rng.integers(0, 2, size=(2, 3, depth), dtype=np.uint8)
+        bits[0, 0], bits[1, 2] = 0, 1  # codes 0 and 2**depth - 1
+        g = genome.pack(bits)
+        assert g[0, 0] == 0 and g[1, 2] == 2**depth - 1
+        strings = genome.genome_to_strings(g, depth)
+        assert len(strings) == 2 and len(strings[0]) == 3
+        # each code as its genes, gene 1 first
+        assert strings == [["".join(map(str, chrom)) for chrom in slot] for slot in bits]
+        back = genome.genome_from_strings(strings)
+        assert back.dtype == np.int64 and np.array_equal(back, g)
+        field = genome.genome_to_field(g, depth)
+        assert "," not in field
+        assert np.array_equal(genome.genome_from_field(field), g)
 
 
 def test_chromosome_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        genome.chromosome_from_string("01x1")
-    with pytest.raises(ValueError):
-        genome.chromosome_from_string("")
+    # int(s, 2) would read the last three; a ragged genome has no shape
+    for s in ("01x1", "", "1_0", " 101", "+1"):
+        with pytest.raises(ValueError):
+            genome.genome_from_strings([[s]])
+        with pytest.raises(ValueError):
+            genome.genome_from_field(s)
+    for field in ("01|011", "01;011", "01|10;11"):
+        with pytest.raises(ValueError):
+            genome.genome_from_field(field)

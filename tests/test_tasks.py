@@ -21,7 +21,8 @@ KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def random_genomes(n, seed):
-    return np.random.default_rng(seed).integers(0, 2, size=(n, 2, 3, 15), dtype=np.uint8)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2, 3, 15), dtype=np.uint8)
+    return genome.pack(bits)
 
 
 # ------------------------------------------------------------------ oracles
@@ -182,7 +183,7 @@ def test_population_fitness_matches_reference_bit_for_bit(d, kinds):
     codec = CodecConfig(depth=12)
     rng = np.random.default_rng(d)
     genomes = rng.integers(0, 2, size=(400, task.n_slots, d * d - 1, 12), dtype=np.uint8)
-    params = genome.decode(genomes, codec)
+    params = genome.decode(genome.pack(genomes), codec)
     single = np.array([population_fitness(task, p) for p in params[:11]])
     assert np.array_equal(single, _reference_population_fitness(task, params[:11]))
     for n in (1, 2, 11, 100, 400):
@@ -232,7 +233,7 @@ def test_compose_total_unresolvable_label():
 def test_compose_total_shape_check():
     task = deutsch_task()
     with pytest.raises(ValueError):
-        compose_total(task, np.zeros((1, 3, 15), dtype=np.uint8), CODEC, "const0")
+        compose_total(task, np.zeros((1, 3), dtype=np.int64), CODEC, "const0")
 
 
 def test_template_supports_repeated_oracle_slots():
