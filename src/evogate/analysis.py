@@ -85,7 +85,7 @@ def _check_unitary_2x2(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:  # NaN fails too
         raise ValueError("matrix is not unitary within tolerance")
     return u
 

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,23 +42,32 @@ _CONTEXT_KEYS = ("out", "workers")
 _FIGURE_NPOPS = {"fig5": [10, 50, 100], "fig6": [100], "fig7": [100, 200, 300, 400]}
 
 
+def _setting(default, help_text: str):
+    """A config field with the help text of its command-line flag."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class ExperimentConfig:
-    """Effective settings of one command invocation."""
+    """Effective settings of one command invocation.
 
-    task: str = "deutsch"
-    npop: int = 100
-    depth: int = 15
-    half_range: float = math.pi
-    threshold: float = 1e-4
-    mutation: float = 0.0
-    elitism: int = 0
-    max_gen: int = 500
-    seeds: int = 1
-    base_seed: int = 1
-    horizon: int = 0
-    out: str = "results"
-    workers: int = 1
+    Each field is a config-file key and, with dashes for underscores, a flag
+    of every subcommand (see :func:`build_parser`), typed like its default.
+    """
+
+    task: str = _setting("deutsch", "built-in task name or task file path")
+    npop: int = _setting(100, "population size")
+    depth: int = _setting(15, "bits per chromosome (L)")
+    half_range: float = _setting(math.pi, "parameter half-range in radians (default pi)")
+    threshold: float = _setting(1e-4, "fitness-fluctuation termination threshold (h)")
+    mutation: float = _setting(0.0, "per-gene mutation probability")
+    elitism: int = _setting(0, "individuals copied unchanged")
+    max_gen: int = _setting(500, "generation safety cap")
+    seeds: int = _setting(1, "ensemble size (number of seeds)")
+    base_seed: int = _setting(1, "first seed (at least 0)")
+    horizon: int = _setting(0, "pad mean-fitness curves to this many generations in stats output")
+    out: str = _setting("results", "output directory")
+    workers: int = _setting(1, "process-pool size for sweeps")
 
     def metadata(self, **extra) -> dict:
         """Config echo for output files (execution context excluded so equal
@@ -341,22 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--task", help="built-in task name or task file path")
-        p.add_argument("--npop", type=int, help="population size")
-        p.add_argument("--depth", type=int, help="bits per chromosome (L)")
-        p.add_argument("--half-range", dest="half_range", type=float,
-                       help="parameter half-range in radians (default pi)")
-        p.add_argument("--threshold", type=float,
-                       help="fitness-fluctuation termination threshold (h)")
-        p.add_argument("--mutation", type=float, help="per-gene mutation probability")
-        p.add_argument("--elitism", type=int, help="individuals copied unchanged")
-        p.add_argument("--max-gen", dest="max_gen", type=int, help="generation safety cap")
-        p.add_argument("--seeds", type=int, help="ensemble size (number of seeds)")
-        p.add_argument("--base-seed", dest="base_seed", type=int, help="first seed (at least 0)")
-        p.add_argument("--horizon", type=int,
-                       help="pad mean-fitness curves to this many generations in stats output")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, help="process-pool size for sweeps")
+        for f in fields(ExperimentConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           help=f.metadata["help"])
 
     p_run = sub.add_parser("run", help="one seeded search")
     add_common(p_run)
@@ -383,11 +379,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors; remap per contract
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    flag_values = {
-        f.name: getattr(args, f.name)
-        for f in fields(ExperimentConfig)
-        if hasattr(args, f.name)
-    }
+    flag_values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     try:
         cfg, explicit = load_config(args.config, flag_values)
         if args.command == "reproduce" and "seeds" not in explicit:

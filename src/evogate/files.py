@@ -115,20 +115,9 @@ def write_genome_json(path, codes: np.ndarray, depth: int, metadata: dict) -> No
 
 
 def write_json(path, payload: dict) -> None:
-    write_text(path, json.dumps(_json_tree(payload), indent=2) + "\n")
-
-
-def _json_tree(node):
-    """``node`` with numpy scalars as Python numbers and arrays and tuples as lists."""
-    if isinstance(node, dict):
-        return {k: _json_tree(v) for k, v in node.items()}
-    if isinstance(node, (list, tuple, np.ndarray)):
-        return [_json_tree(v) for v in node]
-    if isinstance(node, np.integer):
-        return int(node)
-    if isinstance(node, np.floating):
-        return float(node)
-    return node
+    """``payload`` as indented JSON; numpy arrays and scalars are written as
+    the lists and Python numbers their ``tolist()`` gives."""
+    write_text(path, json.dumps(payload, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 def read_points_csv(path):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here puts the load in the CLI
@@ -112,25 +112,12 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class Population:
-    """Integer-coded genome stack ``(n_pop, slots, components)`` and its
-    fitness, both sorted by descending fitness (see :func:`evaluate`)."""
+    """Two arrays sorted by descending fitness (see :func:`evaluate`): the
+    integer-coded genome stack ``(n_pop, slots, components)`` and its
+    fitness ``(n_pop,)``.  The best individual is ``genomes[0]``."""
 
     genomes: np.ndarray
     fitness: np.ndarray
-
-    @cached_property
-    def mean_fitness(self) -> float:
-        """``fitness.mean()``, computed once; ``fitness_fluctuation`` reuses it."""
-        return float(np.add.reduce(self.fitness) / len(self.fitness))
-
-    @property
-    def best_fitness(self) -> float:
-        return float(self.fitness[0])
-
-    @property
-    def best_genome(self) -> np.ndarray:
-        """Codes of the top individual, ``(slots, components)``."""
-        return self.genomes[0]
 
 
 @dataclass
@@ -225,11 +212,10 @@ def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
         ranks = np.searchsorted(bounds, rng.random(need), side="right")
 
 
-def fitness_fluctuation(pop: Population) -> float:
-    """Population standard deviation of fitness (the termination statistic)."""
-    f = pop.fitness
-    mean = pop.mean_fitness
-    var = float(np.add.reduce(f * f) / len(f) - mean * mean)
+def fitness_fluctuation(fitness: np.ndarray, mean: float) -> float:
+    """Population standard deviation of ``fitness`` given its ``mean`` (the
+    termination statistic)."""
+    var = float(np.add.reduce(fitness * fitness) / len(fitness) - mean * mean)
     return math.sqrt(max(var, 0.0))  # radicand can dip ~-1e-16 in floats
 
 
@@ -295,10 +281,12 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     generation = 0
     while True:
         generation += 1
-        spread = fitness_fluctuation(pop)
-        means.append(pop.mean_fitness)
+        fitness = pop.fitness
+        mean = float(np.add.reduce(fitness) / len(fitness))
+        spread = fitness_fluctuation(fitness, mean)
+        means.append(mean)
         flucts.append(spread)
-        bests.append(pop.best_fitness)
+        bests.append(float(fitness[0]))
         if spread < cfg.threshold:
             reason = TERMINATED_CONVERGED
             break
@@ -307,7 +295,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
             break
         pop = next_generation(pop, cfg, task, streams)
 
-    best = float(pop.best_fitness)
+    best = bests[-1]
     return RunRecord(
         seed=seed,
         mean_fitness=np.array(means),
@@ -315,7 +303,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         best_fitness_series=np.array(bests),
         q_c=generation,
         termination_reason=reason,
-        best_genome=pop.best_genome.copy(),  # a view would pin the whole population
+        best_genome=pop.genomes[0].copy(),  # a view would pin the whole population
         best_fitness=best,
         epsilon_opt=1.0 - best,
     )

@@ -129,11 +129,13 @@ def genome_to_strings(codes: np.ndarray, depth: int) -> list[list[str]]:
 
 def genome_from_strings(strings) -> np.ndarray:
     """Inverse of :func:`genome_to_strings`: int64 codes ``(slots, components)``
-    of nonempty '0'/'1' strings, all of one length."""
+    of nonempty '0'/'1' strings, all of one length, at most :data:`MAX_DEPTH`."""
     chromosomes = [s for slot in strings for s in slot]
     for s in chromosomes:
-        if not s or any(ch not in "01" for ch in s) or len(s) != len(chromosomes[0]):
-            raise ValueError(f"invalid chromosome string {s!r}: want 0/1, all of one length")
+        if (not 0 < len(s) <= MAX_DEPTH or any(ch not in "01" for ch in s)
+                or len(s) != len(chromosomes[0])):
+            raise ValueError(f"invalid chromosome string {s!r}: want 0/1, all of one "
+                             f"length, 1 to {MAX_DEPTH} digits")
     return np.array([[int(s, 2) for s in slot] for slot in strings], dtype=np.int64)
 
 

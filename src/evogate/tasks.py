@@ -1,10 +1,10 @@
-"""Training tasks: circuit templates, oracle tables, and input-target sets.
+"""Training tasks: a circuit, its oracle tables, and input-target pairs.
 
 A task fixes the genome shape of its search: one parameter vector of
 ``n_components = dim**2 - 1`` chromosomes for each of its ``n_slots``
 trainable slots.
 
-A circuit template is an ordered list of slots; the first listed slot acts
+A task's circuit is an ordered list of slots; the first listed slot acts
 first on the state, so the total operator is the product of the slot
 matrices taken right to left ("rightmost-acts-first").  Trainable slots are
 filled from a genome; oracle slots look their matrix up in an oracle family
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .genome import CodecConfig
 from .linalg import su2_closed_form, unitary_from_params
 
 __all__ = [
-    "CircuitTemplate",
     "OracleSlot",
     "TaskSpec",
     "TrainableSlot",
@@ -69,27 +67,6 @@ class OracleSlot:
     family: str = "oracle"
 
 
-Slot = Union[TrainableSlot, OracleSlot]
-
-
-@dataclass(frozen=True)
-class CircuitTemplate:
-    """Ordered slot sequence in application order (first entry acts first)."""
-
-    dim: int
-    slots: tuple
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        object.__setattr__(self, "slots", tuple(self.slots))
-        indices = sorted(s.index for s in self.slots if isinstance(s, TrainableSlot))
-        if not indices:
-            raise ValueError("template needs at least one trainable slot")
-        if indices != list(range(1, len(indices) + 1)):
-            raise ValueError(f"trainable indices must be 1..n without gaps, got {indices}")
-
-
 def _frozen_state(v) -> np.ndarray:
     arr = np.array(v, dtype=complex)
     arr.flags.writeable = False
@@ -98,21 +75,35 @@ def _frozen_state(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A template plus the data needed to score candidate genomes.
+    """A circuit of ``dim``-level slots plus the data needed to score
+    candidate genomes.
 
-    ``pairs`` holds (input label, normalized target state) training entries;
-    ``oracle_families`` maps family name -> {label -> unitary matrix}.
-    Arrays are frozen after validation, so task values can be shared freely.
+    ``slots`` lists the circuit's trainable and oracle slots in application
+    order (first entry acts first); the trainable indices run 1..n without
+    gaps.  ``pairs`` holds (input label, normalized target state) training
+    entries; ``oracle_families`` maps family name -> {label -> unitary
+    matrix}.  Arrays are frozen after validation, so task values can be
+    shared freely.
     """
 
-    template: CircuitTemplate
+    dim: int
+    slots: tuple
     initial_state: np.ndarray
     pairs: tuple
     oracle_families: dict = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
-        d = self.template.dim
+        d = self.dim
+        if d < 2:
+            raise ValueError(f"dim must be >= 2, got {d}")
+        object.__setattr__(self, "slots", tuple(self.slots))
+        indices = sorted(s.index for s in self.slots if isinstance(s, TrainableSlot))
+        if not indices:
+            raise ValueError("task needs at least one trainable slot")
+        if indices != list(range(1, len(indices) + 1)):
+            raise ValueError(f"trainable indices must be 1..n without gaps, got {indices}")
+
         init = _frozen_state(self.initial_state)
         if init.shape != (d,):
             raise ValueError(f"initial state must have shape ({d},), got {init.shape}")
@@ -145,7 +136,7 @@ class TaskSpec:
             families[str(fam)] = entries
         object.__setattr__(self, "oracle_families", families)
 
-        for slot in self.template.slots:
+        for slot in self.slots:
             if isinstance(slot, OracleSlot):
                 table = families.get(slot.family)
                 if table is None:
@@ -156,14 +147,10 @@ class TaskSpec:
                             f"oracle family {slot.family!r} cannot resolve label {label!r}"
                         )
 
-    @property
-    def dim(self) -> int:
-        return self.template.dim
-
     @cached_property
     def n_slots(self) -> int:
         """Number of trainable slots, counted once per task."""
-        return sum(1 for s in self.template.slots if isinstance(s, TrainableSlot))
+        return sum(1 for s in self.slots if isinstance(s, TrainableSlot))
 
     @property
     def n_components(self) -> int:
@@ -181,7 +168,7 @@ class TaskSpec:
         stacked as ``(n_pairs, d, d)``.  ``targets`` stacks the conjugated
         targets as ``(n_pairs, d)``.
         """
-        slots = self.template.slots
+        slots = self.slots
         n_shared = next((i for i, s in enumerate(slots) if isinstance(s, OracleSlot)), len(slots))
         labels = [label for label, _ in self.pairs]
         steps = tuple(
@@ -240,12 +227,10 @@ def deutsch_task(
         )
     else:
         pairs = ((constant, ket0), (balanced, ket1))
-    template = CircuitTemplate(
-        dim=2, slots=(TrainableSlot(1), OracleSlot("oracle"), TrainableSlot(2))
-    )
     family = {name: deutsch_oracle(name) for name in DEUTSCH_FUNCTIONS}
     return TaskSpec(
-        template=template,
+        dim=2,
+        slots=(TrainableSlot(1), OracleSlot("oracle"), TrainableSlot(2)),
         initial_state=ket0,
         pairs=pairs,
         oracle_families={"oracle": family},
@@ -278,7 +263,7 @@ def compose_total(task: TaskSpec, codes: np.ndarray, codec: CodecConfig, x: str)
         )
     us = _trainable_unitaries(params, task.dim)
     total = np.eye(task.dim, dtype=complex)
-    for slot in task.template.slots:
+    for slot in task.slots:
         if isinstance(slot, TrainableSlot):
             m = us[slot.index - 1]
         else:
@@ -367,7 +352,7 @@ def _complex_from_json(pairs) -> np.ndarray:
 def task_to_dict(task: TaskSpec) -> dict:
     """JSON-ready description of a task (complex numbers as [re, im] pairs)."""
     slots = []
-    for slot in task.template.slots:
+    for slot in task.slots:
         if isinstance(slot, TrainableSlot):
             slots.append({"kind": "trainable", "index": slot.index})
         else:
@@ -402,9 +387,9 @@ def task_from_dict(data: dict) -> TaskSpec:
                 slots.append(OracleSlot(s.get("family", "oracle")))
             else:
                 raise ValueError(f"unknown slot kind {s['kind']!r}")
-        template = CircuitTemplate(dim=_integer(data["dim"], "dim"), slots=tuple(slots))
         return TaskSpec(
-            template=template,
+            dim=_integer(data["dim"], "dim"),
+            slots=slots,
             initial_state=_complex_from_json(data["initial_state"]),
             pairs=tuple((label, _complex_from_json(t)) for label, t in data["pairs"]),
             oracle_families={

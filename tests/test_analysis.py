@@ -79,6 +79,15 @@ def test_bloch_rejects_non_unitary():
         bloch_decompose(np.eye(3))
 
 
+def test_nan_matrix_is_not_unitary():
+    # a NaN entry must fail the unitarity check, not pass it as "not above tol"
+    u = np.array([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not unitary"):
+        bloch_decompose(u)
+    with pytest.raises(ValueError, match="not unitary"):
+        prepared_state(u, KET0)
+
+
 # ------------------------------------------------------------ prepared state
 
 def test_prepared_state_identity_is_degenerate():

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evogate
-from evogate import files, genome
+from evogate import cli, files, genome
 from evogate.cli import main
 
 
@@ -71,6 +72,24 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert meta["npop"] == "12"
     assert meta["threshold"] == "0.5"
     assert meta["seeds"] == "2"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep"], ["fit", "in.csv"], ["reproduce", "fig5"]])
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path, command):
+    # each ExperimentConfig field is declared once: every subcommand takes it
+    # as a --flag, read to the value its config-file line gives
+    parser = cli.build_parser()
+    for f in fields(cli.ExperimentConfig):
+        kind = type(f.default)
+        text = str(f.default + {int: 2, float: 0.25, str: "x"}[kind])
+        args = parser.parse_args([*command, "--" + f.name.replace("_", "-"), text])
+        from_flag = cli.load_config(None, {g.name: getattr(args, g.name)
+                                           for g in fields(cli.ExperimentConfig)})
+        cfg_file = tmp_path / f"{f.name}.cfg"
+        cfg_file.write_text(f"{f.name} = {text}\n")
+        assert from_flag == cli.load_config(cfg_file, {})
+        assert from_flag[1] == {f.name}
+        assert getattr(from_flag[0], f.name) == kind(text) != f.default
 
 
 def test_unknown_config_key_fails(tmp_path):
@@ -294,9 +313,8 @@ def _qutrit_task():
     w = np.exp(2j * np.pi / 3)
     oracles = {x: np.diag([1, w**k, w ** (2 * k)]) for k, x in enumerate("abc")}
     targets = {x: np.eye(3)[k] for k, x in enumerate("abc")}
-    template = tasks.CircuitTemplate(3, (tasks.TrainableSlot(1), tasks.OracleSlot(),
-                                         tasks.TrainableSlot(2)))
-    return tasks.TaskSpec(template, np.eye(3)[0], tuple(targets.items()),
+    slots = (tasks.TrainableSlot(1), tasks.OracleSlot(), tasks.TrainableSlot(2))
+    return tasks.TaskSpec(3, slots, np.eye(3)[0], tuple(targets.items()),
                           {"oracle": oracles}, name="qutrit")
 
 

@@ -268,12 +268,12 @@ def test_mutate_rejects_bad_rate():
 
 def test_fluctuation_uniform_population():
     pop = Population(np.zeros((4, 1, 3), dtype=np.int64), np.full(4, 0.7))
-    assert ga.fitness_fluctuation(pop) == 0.0
+    assert ga.fitness_fluctuation(pop.fitness, pop.fitness.mean()) == 0.0
 
 
 def test_fluctuation_extreme_split():
     pop = Population(np.zeros((2, 1, 3), dtype=np.int64), np.array([1.0, 0.0]))
-    assert ga.fitness_fluctuation(pop) == 0.5
+    assert ga.fitness_fluctuation(pop.fitness, pop.fitness.mean()) == 0.5
 
 
 def test_fluctuation_bounded():
@@ -281,7 +281,7 @@ def test_fluctuation_bounded():
     for _ in range(100):
         f = rng.uniform(0, 1, size=rng.integers(2, 30))
         pop = Population(np.zeros((f.size, 1, 3), dtype=np.int64), f)
-        assert 0.0 <= ga.fitness_fluctuation(pop) <= 0.5
+        assert 0.0 <= ga.fitness_fluctuation(pop.fitness, pop.fitness.mean()) <= 0.5
 
 
 # ---------------------------------------------------------------- evaluate

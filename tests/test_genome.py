@@ -140,7 +140,7 @@ def test_rounding_error_bound_values():
     assert deeper == bound / 2.0
     ket0 = np.array([1.0, 0.0])
     slots = tuple(tasks.TrainableSlot(k) for k in range(1, 5))
-    four = tasks.TaskSpec(tasks.CircuitTemplate(2, slots), ket0, (("x", ket0),))
+    four = tasks.TaskSpec(2, slots, ket0, (("x", ket0),))
     assert genome.rounding_error_bound(cfg, four) == 2.0 * bound
 
 
@@ -185,8 +185,9 @@ def test_string_serialization_round_trip():
 
 
 def test_chromosome_string_rejects_garbage():
-    # int(s, 2) would read the last three; a ragged genome has no shape
-    for s in ("01x1", "", "1_0", " 101", "+1"):
+    # int(s, 2) would read the last three; a ragged genome has no shape; past
+    # MAX_DEPTH digits a code overflows int64 or decodes off any codec's grid
+    for s in ("01x1", "", "1_0", " 101", "+1", "1" * 53, "1" * 60, "1" * 70):
         with pytest.raises(ValueError):
             genome.genome_from_strings([[s]])
         with pytest.raises(ValueError):
@@ -194,3 +195,4 @@ def test_chromosome_string_rejects_garbage():
     for field in ("01|011", "01;011", "01|10;11"):
         with pytest.raises(ValueError):
             genome.genome_from_field(field)
+    assert genome.genome_from_strings([["1" * 52]]).tolist() == [[2**52 - 1]]

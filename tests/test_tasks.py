@@ -4,7 +4,6 @@ import pytest
 from evogate import genome, linalg, tasks
 from evogate.genome import CodecConfig
 from evogate.tasks import (
-    CircuitTemplate,
     OracleSlot,
     TaskSpec,
     TrainableSlot,
@@ -50,7 +49,7 @@ def test_deutsch_task_structure():
     task = deutsch_task()
     assert task.dim == 2
     assert task.n_slots == 2
-    assert [type(s) for s in task.template.slots] == [TrainableSlot, OracleSlot, TrainableSlot]
+    assert [type(s) for s in task.slots] == [TrainableSlot, OracleSlot, TrainableSlot]
     assert np.array_equal(task.initial_state, KET0)
     labels = [label for label, _ in task.pairs]
     assert labels == ["const0", "identity"]
@@ -141,7 +140,7 @@ def _reference_population_fitness(task, params):
     total = np.zeros(batch, dtype=float)
     for label, target in task.pairs:
         state = np.broadcast_to(task.initial_state, batch + (d,))
-        for slot in task.template.slots:
+        for slot in task.slots:
             if isinstance(slot, TrainableSlot):
                 m = us[..., slot.index - 1, :, :]
                 state = np.einsum("...ij,...j->...i", m, state)
@@ -172,7 +171,7 @@ def _general_task(d, kinds, seed):
     labels = ("a", "b", "c")
     oracles = {x: linalg.unitary_from_params(rng.uniform(-3, 3, d * d - 1), d) for x in labels}
     pairs = tuple((x, _random_state(rng, d)) for x in labels)
-    return TaskSpec(CircuitTemplate(d, tuple(slots)), _random_state(rng, d), pairs,
+    return TaskSpec(d, tuple(slots), _random_state(rng, d), pairs,
                     {"oracle": oracles})
 
 
@@ -238,12 +237,9 @@ def test_compose_total_shape_check():
 
 def test_template_supports_repeated_oracle_slots():
     # the oracle may appear in more than one place in the chain
-    template = CircuitTemplate(
-        dim=2,
-        slots=(TrainableSlot(1), OracleSlot(), TrainableSlot(2), OracleSlot()),
-    )
+    slots = (TrainableSlot(1), OracleSlot(), TrainableSlot(2), OracleSlot())
     family = {"oracle": {name: deutsch_oracle(name) for name in tasks.DEUTSCH_FUNCTIONS}}
-    task = TaskSpec(template, KET0, (("identity", KET1),), family)
+    task = TaskSpec(2, slots, KET0, (("identity", KET1),), family)
     g = random_genomes(1, seed=11)[0]
     u1, u2 = linalg.su2_closed_form(genome.decode(g, CODEC))
     oracle = deutsch_oracle("identity")
@@ -305,26 +301,27 @@ def test_defect_bounded_by_error_on_converged_runs():
 # --------------------------------------------------------------- validation
 
 def test_template_validation():
-    with pytest.raises(ValueError):
-        CircuitTemplate(dim=2, slots=(OracleSlot(),))  # no trainable slot
-    with pytest.raises(ValueError):
-        CircuitTemplate(dim=2, slots=(TrainableSlot(1), TrainableSlot(3)))  # gap
-    with pytest.raises(ValueError):
-        CircuitTemplate(dim=1, slots=(TrainableSlot(1),))
+    family = {"oracle": {"x": np.eye(2)}}
+    with pytest.raises(ValueError, match="trainable slot"):
+        TaskSpec(2, (OracleSlot(),), KET0, (("x", KET1),), family)
+    with pytest.raises(ValueError, match="without gaps"):
+        TaskSpec(2, (TrainableSlot(1), TrainableSlot(3)), KET0, (("x", KET1),))
+    with pytest.raises(ValueError, match="dim must be"):
+        TaskSpec(1, (TrainableSlot(1),), KET0, (("x", KET1),))
 
 
 def test_task_validation():
-    template = CircuitTemplate(dim=2, slots=(TrainableSlot(1), OracleSlot()))
+    slots = (TrainableSlot(1), OracleSlot())
     family = {"oracle": {"x": np.eye(2)}}
     with pytest.raises(ValueError):  # unnormalized target
-        TaskSpec(template, KET0, (("x", 2.0 * KET1),), family)
+        TaskSpec(2, slots, KET0, (("x", 2.0 * KET1),), family)
     with pytest.raises(ValueError):  # non-unitary oracle
-        TaskSpec(template, KET0, (("x", KET1),), {"oracle": {"x": np.ones((2, 2))}})
+        TaskSpec(2, slots, KET0, (("x", KET1),), {"oracle": {"x": np.ones((2, 2))}})
     with pytest.raises(ValueError):  # label not resolvable
-        TaskSpec(template, KET0, (("y", KET1),), family)
+        TaskSpec(2, slots, KET0, (("y", KET1),), family)
     with pytest.raises(ValueError):  # missing family
         TaskSpec(
-            CircuitTemplate(dim=2, slots=(TrainableSlot(1), OracleSlot("other"))),
+            2, (TrainableSlot(1), OracleSlot("other")),
             KET0, (("x", KET1),), family,
         )
 
