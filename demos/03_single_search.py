@@ -44,7 +44,7 @@ print("balanced-superposition condition met:",
       abs(ps.alpha - 1 / np.sqrt(2)) <= 0.02)
 
 outs = [
-    tasks.compose_total(task, record.best_genome, codec, label) @ task.initial_state
+    tasks.compose_total(task, params, label) @ task.initial_state
     for label, _ in task.pairs
 ]
 ok_c, ok_b, defect = tasks.decision_outcome(outs[0], outs[1])

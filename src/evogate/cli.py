@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -116,12 +116,8 @@ def load_config(config_path, flag_values: dict):
 
 
 def resolve_task(name: str) -> tasks_mod.TaskSpec:
-    """A built-in task name, or a path to a task description file."""
-    try:
-        return tasks_mod.builtin_task(name)
-    except KeyError:
-        pass
-    return tasks_mod.load_task(name)
+    """The built-in task ``deutsch``, or a path to a task description file."""
+    return tasks_mod.deutsch_task() if name == "deutsch" else tasks_mod.load_task(name)
 
 
 def make_ga_config(cfg: ExperimentConfig, task: tasks_mod.TaskSpec) -> GAConfig:
@@ -143,33 +139,26 @@ def _echo_config(cfg: ExperimentConfig) -> None:
         print(f"{f.name} = {files.fmt(getattr(cfg, f.name))}")
 
 
-def _analysis_payload(record, task, ga_cfg) -> dict:
-    codec = ga_cfg.codec
+def _analysis_payload(record, task, codec, meta: dict) -> dict:
+    """The ``analysis_<seed>.json`` content of one run."""
     payload = {
+        "metadata": {"version": __version__, **meta},
         "seed": record.seed,
         "q_c": record.q_c,
         "termination_reason": record.termination_reason,
         "best_fitness": record.best_fitness,
         "epsilon_opt": record.epsilon_opt,
-        "rounding_bound": genome_mod.rounding_error_bound(codec, task),
+        "rounding_bound": meta["rounding_bound"],
     }
     if task.dim != 2:
         return payload
     params = genome_mod.decode(record.best_genome, codec)
     unitaries = su2_closed_form(params)
-    rotations = []
-    for u in unitaries:
-        b = analysis.bloch_decompose(u)
-        rotations.append(
-            {"theta": b.theta, "axis": list(b.axis), "residual": b.residual,
-             "degenerate": b.degenerate}
-        )
-    payload["rotations"] = rotations
-    ps = analysis.prepared_state(unitaries[0], task.initial_state)
-    payload["prepared_state"] = {"alpha": ps.alpha, "phi": ps.phi, "degenerate": ps.degenerate}
+    payload["rotations"] = [asdict(analysis.bloch_decompose(u)) for u in unitaries]
+    payload["prepared_state"] = asdict(analysis.prepared_state(unitaries[0], task.initial_state))
     if len(task.pairs) == 2:
         outs = [
-            tasks_mod.compose_total(task, record.best_genome, codec, label) @ task.initial_state
+            tasks_mod.compose_total(task, params, label) @ task.initial_state
             for label, _ in task.pairs
         ]
         ok_const, ok_balanced, defect = tasks_mod.decision_outcome(outs[0], outs[1])
@@ -215,16 +204,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     task = resolve_task(cfg.task)
     ga_cfg = make_ga_config(cfg, task)
     record = ga_run(ga_cfg, task, cfg.base_seed)
-    os.makedirs(cfg.out, exist_ok=True)
     meta = cfg.metadata(seed=record.seed,
                         rounding_bound=genome_mod.rounding_error_bound(ga_cfg.codec, task))
     files.write_run_csv(os.path.join(cfg.out, f"run_{record.seed}.csv"), record, cfg.depth, meta)
     files.write_genome_json(os.path.join(cfg.out, f"genome_{record.seed}.json"),
                             record.best_genome, cfg.depth, meta)
-    files.write_json(
-        os.path.join(cfg.out, f"analysis_{record.seed}.json"),
-        {"metadata": {"version": __version__, **meta}, **_analysis_payload(record, task, ga_cfg)},
-    )
+    files.write_json(os.path.join(cfg.out, f"analysis_{record.seed}.json"),
+                     _analysis_payload(record, task, ga_cfg.codec, meta))
     print(
         f"run seed={record.seed}: {record.termination_reason} after {record.q_c} generations, "
         f"epsilon_opt = {record.epsilon_opt:.3e}"
@@ -240,7 +226,6 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
     ga_cfg = make_ga_config(cfg, task)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
     results = run_many(ga_cfg, task, seeds, cfg.workers)
-    os.makedirs(cfg.out, exist_ok=True)
     meta = cfg.metadata()
 
     def path(name):
@@ -280,8 +265,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK if records else EXIT_ERROR
 
 
-def _fit_status(fit) -> tuple[str, str]:
-    return ("converged" if fit.converged else "NOT converged",
+def _fit_step(cfg: ExperimentConfig, eps, q, bins: int, name: str, **source):
+    """Bin ``(eps, q)`` into ``bins`` equal-count bins (0 fits the raw points),
+    fit, write ``name`` in ``cfg.out``, and return the fit with its verdict
+    words ``"[NOT ]converged"`` and ``"[NOT ]identified"``."""
+    if bins > 0:
+        eps, q = analysis.quantile_bins(eps, q, bins)
+    fit = analysis.fit_exponential(eps, q)
+    meta = cfg.metadata(bins=bins, n_points=len(eps), **source)
+    files.write_fit_csv(os.path.join(cfg.out, name), fit, meta)
+    return (fit, "converged" if fit.converged else "NOT converged",
             "identified" if fit.identified else "NOT identified")
 
 
@@ -289,13 +282,8 @@ def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
     if bins < 0:
         raise ValueError(f"--bins must be >= 0, got {bins}")
     eps, q = files.read_points_csv(input_path)
-    if bins > 0:
-        eps, q = analysis.quantile_bins(eps, q, bins)
-    fit = analysis.fit_exponential(eps, q)
-    os.makedirs(cfg.out, exist_ok=True)
-    meta = cfg.metadata(bins=bins, n_points=len(eps), source=os.path.basename(input_path))
-    files.write_fit_csv(os.path.join(cfg.out, "fit.csv"), fit, meta)
-    converged, identified = _fit_status(fit)
+    fit, converged, identified = _fit_step(cfg, eps, q, bins, "fit.csv",
+                                           source=os.path.basename(input_path))
     print(
         f"fit: {converged} after {fit.n_iter} iterations, {identified}: "
         f"a = {fit.a:.4g} +- {fit.a_err:.2g}, b = {fit.b:.4g} +- {fit.b_err:.2g}, "
@@ -306,14 +294,14 @@ def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
 
 def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
     task = resolve_task(cfg.task)
-    os.makedirs(cfg.out, exist_ok=True)
     worst = EXIT_OK
 
     npops = [cfg.npop] if "npop" in explicit else _FIGURE_NPOPS[figure]
     horizon = 100 if figure == "fig5" and "horizon" not in explicit else cfg.horizon
     for npop in npops:
         prefix = "fig6_" if figure == "fig6" else f"{figure}_npop{npop}_"
-        records = _sweep(replace(cfg, npop=npop, horizon=horizon), task, prefix)
+        npop_cfg = replace(cfg, npop=npop, horizon=horizon)
+        records = _sweep(npop_cfg, task, prefix)
         print(f"{figure}: npop={npop}: {len(records)}/{cfg.seeds} runs succeeded")
         if not records:
             raise RuntimeError(f"all runs failed for npop={npop}")
@@ -322,16 +310,12 @@ def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
         done = [r for r in records if r.termination_reason == "converged"]
         eps = np.array([r.epsilon_opt for r in done])
         q = np.array([r.q_c for r in done], dtype=float)
-        eps_b, q_b = analysis.quantile_bins(eps, q, 20)
         try:
-            fit = analysis.fit_exponential(eps_b, q_b)
+            fit, converged, identified = _fit_step(npop_cfg, eps, q, 20, f"{prefix}fit.csv")
         except ValueError as exc:  # too few or all-equal points: this npop only
             print(f"{figure}: npop={npop}: fit skipped: {exc}")
             worst = EXIT_FLAGGED
             continue
-        local_meta = cfg.metadata(npop=npop, bins=20, n_points=len(eps_b))
-        files.write_fit_csv(os.path.join(cfg.out, f"{prefix}fit.csv"), fit, local_meta)
-        converged, identified = _fit_status(fit)
         print(f"{figure}: npop={npop}: fit {converged}, {identified}: "
               f"b = {fit.b:.4g} +- {fit.b_err:.2g}, c = {fit.c:.4g} +- {fit.c_err:.2g}")
         if not (fit.converged and fit.identified):

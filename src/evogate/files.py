@@ -57,17 +57,21 @@ def _metadata_lines(metadata: dict) -> list[str]:
 
 
 def write_text(path, text: str) -> None:
-    """Write a file atomically (temp file in place, then rename)."""
+    """Write a file atomically (temp file in place, then rename), creating
+    its directory if need be."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
 
-def _csv(metadata: dict, header: str, rows) -> str:
-    lines = _metadata_lines(metadata) + [header]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
+def _csv(metadata: dict, *sections) -> str:
+    """The metadata block, then each ``(header, rows)`` section in turn."""
+    lines = _metadata_lines(metadata)
+    for header, rows in sections:
+        lines.append(header)
+        lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -78,34 +82,28 @@ def write_run_csv(path, record, depth: int, metadata: dict) -> None:
          record.best_fitness_series[g])
         for g in range(record.q_c)
     ]
-    body = _csv(metadata, RUN_HEADER, rows)
-    summary = ",".join(
-        fmt(cell)
-        for cell in (
-            0, record.seed, record.q_c, record.epsilon_opt,
-            record.termination_reason, genome_mod.genome_to_field(record.best_genome, depth),
-        )
-    )
-    write_text(path, body + RUN_SUMMARY_HEADER + "\n" + summary + "\n")
+    summary = (0, record.seed, record.q_c, record.epsilon_opt, record.termination_reason,
+               genome_mod.genome_to_field(record.best_genome, depth))
+    write_text(path, _csv(metadata, (RUN_HEADER, rows), (RUN_SUMMARY_HEADER, [summary])))
 
 
 def write_runs_csv(path, rows, metadata: dict) -> None:
     """Per-run summary table for a sweep (failed runs carry reason 'error')."""
-    write_text(path, _csv(metadata, RUNS_HEADER, rows))
+    write_text(path, _csv(metadata, (RUNS_HEADER, rows)))
 
 
 def write_stats_csv(path, generations, mean, std, counts, metadata: dict) -> None:
     rows = zip(generations, mean, std, counts)
-    write_text(path, _csv(metadata, STATS_HEADER, rows))
+    write_text(path, _csv(metadata, (STATS_HEADER, rows)))
 
 
 def write_alpha_phi_csv(path, rows, metadata: dict) -> None:
-    write_text(path, _csv(metadata, ALPHA_PHI_HEADER, rows))
+    write_text(path, _csv(metadata, (ALPHA_PHI_HEADER, rows)))
 
 
 def write_fit_csv(path, fit, metadata: dict) -> None:
     row = (fit.a, fit.b, fit.c, fit.a_err, fit.b_err, fit.c_err, fit.rss, fit.converged)
-    write_text(path, _csv(metadata, FIT_HEADER, [row]))
+    write_text(path, _csv(metadata, (FIT_HEADER, [row])))
 
 
 def write_genome_json(path, codes: np.ndarray, depth: int, metadata: dict) -> None:
@@ -124,7 +122,10 @@ def read_points_csv(path):
     """Load (eps, q) pairs from a CSV with '#' metadata lines.
 
     Accepts either a sweep summary table (columns ``epsilon_opt`` and ``q_c``)
-    or a plain two-column table named ``epsilon`` and ``q``.
+    or a plain two-column table named ``epsilon`` and ``q``.  A data row with
+    the wrong cell count or an unparsable ``eps`` or ``q`` raises
+    ``ValueError("<path>: data row N: ...")``, N counting from 1 after the
+    header; a row with a non-finite value (a failed run) is skipped.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -140,17 +141,15 @@ def read_points_csv(path):
             f"{path}: expected columns epsilon_opt/q_c or epsilon/q, got {header}"
         )
     eps, q = [], []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
-        if len(cells) != len(header):  # a second header section ends the table
-            break
-        if cells[ei] == header[ei]:
-            break
         try:
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
             e_val, q_val = float(cells[ei]), float(cells[qi])
-        except ValueError:
-            continue  # skip non-numeric rows (e.g. failed runs marked nan-free)
-        if np.isfinite(e_val) and np.isfinite(q_val):
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {n}: {exc}") from None
+        if np.isfinite(e_val) and np.isfinite(q_val):  # a failed run writes nan
             eps.append(e_val)
             q.append(q_val)
     if not eps:

@@ -147,11 +147,12 @@ def selection_probabilities(n_pop: int) -> np.ndarray:
 
     Strictly decreasing, normalized to one, and the worst rank's probability
     is exactly the best rank's divided by ``n_pop``.  Cached and read-only.
+    The weights come from libm's ``pow`` (``math.pow``), whose bits, unlike
+    numpy's float64 ``power``, do not depend on the CPU's SIMD level.
     """
     if n_pop < 2:
         raise ValueError(f"rank selection needs n_pop >= 2, got {n_pop}")
-    ranks = np.arange(n_pop, dtype=float)
-    w = float(n_pop) ** (-ranks / (n_pop - 1))
+    w = np.array([math.pow(n_pop, -r / (n_pop - 1)) for r in range(n_pop)])
     p = w / w.sum()
     p[-1] = p[0] / n_pop  # pin the exact tail identity against libm rounding
     p.flags.writeable = False

@@ -21,17 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "NumericError",
     "generator_stack",
     "su2_closed_form",
     "unitary_from_params",
 ]
 
 _EPS = np.finfo(float).eps
-
-
-class NumericError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +77,8 @@ def unitary_from_params(p: np.ndarray, d: int) -> np.ndarray:
     ------
     ValueError
         If the trailing axis of ``p`` is not ``d*d - 1``.
-    NumericError
-        If the eigensolver fails to converge.
+    numpy.linalg.LinAlgError
+        If the eigensolver fails to converge (a ``ValueError`` subclass).
     """
     p = np.asarray(p, dtype=float)
     n = d * d - 1
@@ -91,10 +86,7 @@ def unitary_from_params(p: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"expected {n} parameters for dimension {d}, got {p.shape[-1]}")
     sig = generator_stack(d)
     h = np.einsum("...k,kij->...ij", p, sig)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    w, v = np.linalg.eigh(h)
     return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w), v.conj())
 
 

@@ -2,13 +2,15 @@
 
 A task fixes the genome shape of its search: one parameter vector of
 ``n_components = dim**2 - 1`` chromosomes for each of its ``n_slots``
-trainable slots.
+trainable slots.  This module scores decoded parameters only, shape
+``(..., n_slots, n_components)``; turning a genome into them is the codec's
+job (:func:`evogate.genome.decode`), so nothing here reads a genome.
 
 A task's circuit is an ordered list of slots; the first listed slot acts
 first on the state, so the total operator is the product of the slot
-matrices taken right to left ("rightmost-acts-first").  Trainable slots are
-filled from a genome; oracle slots look their matrix up in an oracle family
-keyed by the classical input label of each training pair.
+matrices taken right to left ("rightmost-acts-first").  Trainable slot ``k``
+takes the ``k``-th parameter vector; oracle slots look their matrix up in an
+oracle family keyed by the classical input label of each training pair.
 
 Stored fitness values are re-scored exactly, so every product in
 :func:`population_fitness` is an ``np.einsum`` contraction.  Keep it so:
@@ -27,15 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import genome as genome_mod
-from .genome import CodecConfig
 from .linalg import su2_closed_form, unitary_from_params
 
 __all__ = [
     "OracleSlot",
     "TaskSpec",
     "TrainableSlot",
-    "builtin_task",
     "compose_total",
     "decision_outcome",
     "deutsch_oracle",
@@ -50,7 +49,9 @@ __all__ = [
 UNITARY_TOL = 1e-12
 SLOT_ORDER_CONVENTION = "rightmost-acts-first"
 
-DEUTSCH_FUNCTIONS = ("const0", "const1", "identity", "negation")
+# the one-bit Boolean functions as (f(0), f(1)): two constant, two balanced
+_DEUTSCH_TABLES = {"const0": (0, 0), "const1": (1, 1), "identity": (0, 1), "negation": (1, 0)}
+DEUTSCH_FUNCTIONS = tuple(_DEUTSCH_TABLES)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,16 @@ class OracleSlot:
 def _frozen_state(v) -> np.ndarray:
     arr = np.array(v, dtype=complex)
     arr.flags.writeable = False
+    return arr
+
+
+def _checked_state(v, d: int, what: str) -> np.ndarray:
+    """``v`` as a frozen complex state of shape ``(d,)`` and unit norm."""
+    arr = _frozen_state(v)
+    if arr.shape != (d,):
+        raise ValueError(f"{what} must have shape ({d},), got {arr.shape}")
+    if not abs(np.linalg.norm(arr) - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError(f"{what} must be normalized")
     return arr
 
 
@@ -104,21 +115,10 @@ class TaskSpec:
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError(f"trainable indices must be 1..n without gaps, got {indices}")
 
-        init = _frozen_state(self.initial_state)
-        if init.shape != (d,):
-            raise ValueError(f"initial state must have shape ({d},), got {init.shape}")
-        if not abs(np.linalg.norm(init) - 1.0) <= 1e-10:  # NaN fails too
-            raise ValueError("initial state must be normalized")
+        init = _checked_state(self.initial_state, d, "initial state")
         object.__setattr__(self, "initial_state", init)
-
-        pairs = []
-        for label, target in self.pairs:
-            t = _frozen_state(target)
-            if t.shape != (d,):
-                raise ValueError(f"target for {label!r} must have shape ({d},)")
-            if not abs(np.linalg.norm(t) - 1.0) <= 1e-10:
-                raise ValueError(f"target for {label!r} must be normalized")
-            pairs.append((str(label), t))
+        pairs = [(str(label), _checked_state(target, d, f"target for {label!r}"))
+                 for label, target in self.pairs]
         if not pairs:
             raise ValueError("task needs at least one input-target pair")
         object.__setattr__(self, "pairs", tuple(pairs))
@@ -187,79 +187,50 @@ def deutsch_oracle(name: str) -> np.ndarray:
     ``identity`` gives diag(1, -1) and ``negation`` diag(-1, 1) (the two
     balanced functions).
     """
-    tables = {
-        "const0": (0, 0),
-        "const1": (1, 1),
-        "identity": (0, 1),
-        "negation": (1, 0),
-    }
-    if name not in tables:
+    if name not in _DEUTSCH_TABLES:
         raise ValueError(f"unknown one-bit function {name!r}; choose from {DEUTSCH_FUNCTIONS}")
-    f0, f1 = tables[name]
+    f0, f1 = _DEUTSCH_TABLES[name]
     return np.diag([(-1.0 + 0j) ** f0, (-1.0 + 0j) ** f1])
 
 
-def deutsch_task(
-    constant: str = "const0",
-    balanced: str = "identity",
-    all_functions: bool = False,
-) -> TaskSpec:
+def deutsch_task() -> TaskSpec:
     """One-bit oracle-decision task: drive |0> to |0> for a constant function
     and to |1> for a balanced one, with the oracle applied exactly once
     between two trainable single-qubit unitaries.
 
-    One representative per Boolean-function class suffices because the two
-    constants (and the two balanced functions) differ only by a global phase;
-    pass ``all_functions=True`` to train on all four anyway.
+    One representative per Boolean-function class (``const0`` and
+    ``identity``) suffices because the two constants, and the two balanced
+    functions, differ only by a global phase; the oracle table holds all
+    four functions.
     """
-    if constant not in ("const0", "const1"):
-        raise ValueError(f"constant representative must be const0 or const1, got {constant!r}")
-    if balanced not in ("identity", "negation"):
-        raise ValueError(f"balanced representative must be identity or negation, got {balanced!r}")
     ket0 = np.array([1.0, 0.0], dtype=complex)
     ket1 = np.array([0.0, 1.0], dtype=complex)
-    if all_functions:
-        pairs = (
-            ("const0", ket0),
-            ("const1", ket0),
-            ("identity", ket1),
-            ("negation", ket1),
-        )
-    else:
-        pairs = ((constant, ket0), (balanced, ket1))
-    family = {name: deutsch_oracle(name) for name in DEUTSCH_FUNCTIONS}
     return TaskSpec(
         dim=2,
         slots=(TrainableSlot(1), OracleSlot("oracle"), TrainableSlot(2)),
         initial_state=ket0,
-        pairs=pairs,
-        oracle_families={"oracle": family},
+        pairs=(("const0", ket0), ("identity", ket1)),
+        oracle_families={"oracle": {name: deutsch_oracle(name) for name in DEUTSCH_FUNCTIONS}},
         name="deutsch",
     )
-
-
-def builtin_task(name: str) -> TaskSpec:
-    """Look up a task shipped with the package (currently just ``deutsch``)."""
-    if name == "deutsch":
-        return deutsch_task()
-    raise KeyError(f"no built-in task named {name!r}")
 
 
 def _trainable_unitaries(params: np.ndarray, dim: int) -> np.ndarray:
     return su2_closed_form(params) if dim == 2 else unitary_from_params(params, dim)
 
 
-def compose_total(task: TaskSpec, codes: np.ndarray, codec: CodecConfig, x: str) -> np.ndarray:
-    """Total operator of the circuit for input label ``x`` and one genome.
+def compose_total(task: TaskSpec, params: np.ndarray, x: str) -> np.ndarray:
+    """Total operator of the circuit for input label ``x`` and one candidate's
+    decoded parameters, shape ``(n_slots, n_components)``.
 
-    Trainable slots are decoded from the genome's codes; oracle slots
-    resolve ``x`` in their family table.  Slots multiply right to left,
-    first listed acting first on the state.
+    Trainable slot ``k`` takes row ``k - 1`` of ``params``; oracle slots
+    look ``x`` up in their family table (``KeyError`` if it is not there).
+    Slots multiply right to left, first listed acting first on the state.
     """
-    params = genome_mod.decode(codes, codec)
+    params = np.asarray(params, dtype=float)
     if params.shape != (task.n_slots, task.n_components):
         raise ValueError(
-            f"genome shape {params.shape} does not match {task.n_slots} trainable slots"
+            f"params shape {params.shape} does not match {task.n_slots} trainable slots"
         )
     us = _trainable_unitaries(params, task.dim)
     total = np.eye(task.dim, dtype=complex)
@@ -267,10 +238,7 @@ def compose_total(task: TaskSpec, codes: np.ndarray, codec: CodecConfig, x: str)
         if isinstance(slot, TrainableSlot):
             m = us[slot.index - 1]
         else:
-            table = task.oracle_families[slot.family]
-            if x not in table:
-                raise KeyError(f"oracle family {slot.family!r} cannot resolve label {x!r}")
-            m = table[x]
+            m = task.oracle_families[slot.family][x]
         total = m @ total
     return total
 

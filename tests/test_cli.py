@@ -276,6 +276,13 @@ def test_reproduce_zero_seeds_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reproduce_bad_setting_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "nothing"
+    assert main(["reproduce", "fig5", "--npop", "1", "--seeds", "2", "--out", str(out)]) == 1
+    assert "population size must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_echoes_its_default_seed_count(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["reproduce", "fig6", "--npop", "4", "--max-gen", "1", "--out", str(out)]) == 0
@@ -488,6 +495,35 @@ def test_fit_reads_sweep_summaries(tmp_path):
     eps, q = files.read_points_csv(out / "runs.csv")
     assert eps.shape == q.shape == (6,)
     assert np.all(q >= 1)
+
+
+def test_fit_rejects_a_short_row_and_joined_tables(tmp_path, capsys):
+    # neither table may be fitted in part: a cut-short row 7 used to end the
+    # table after 6 points, and a second table's header used to end the first
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--npop", "10", "--seeds", "12", "--out", str(out)]) == 0
+    table = (out / "runs.csv").read_text()
+    lines = table.splitlines(keepends=True)
+    first = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+    lines[first + 6] = lines[first + 6].rsplit(",", 2)[0] + "\n"
+    (out / "cut.csv").write_text("".join(lines))
+    (out / "joined.csv").write_text(table + table)
+    capsys.readouterr()
+    assert main(["fit", str(out / "cut.csv"), "--out", str(tmp_path / "o")]) == 1
+    assert "cut.csv: data row 7: expected 7 cells, got 5" in capsys.readouterr().err
+    assert main(["fit", str(out / "joined.csv"), "--out", str(tmp_path / "o")]) == 1
+    assert "joined.csv: data row 13: could not convert" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_read_points_skips_failed_runs_and_rejects_unparsable_values(tmp_path):
+    src = tmp_path / "points.csv"
+    src.write_text("epsilon,q\n0.1,20\nnan,0\n0.2,18\n")
+    eps, q = files.read_points_csv(src)
+    assert eps.tolist() == [0.1, 0.2] and q.tolist() == [20.0, 18.0]
+    src.write_text("epsilon,q\n0.1,20\n0.2,x\n")
+    with pytest.raises(ValueError, match="data row 2: could not convert"):
+        files.read_points_csv(src)
 
 
 def test_fit_missing_input(tmp_path):

@@ -46,6 +46,16 @@ def test_selection_rank_identity_exact():
         assert p[-1] == p[0] / n
 
 
+def test_selection_weights_are_libm_pow():
+    # numpy's float64 power picks its kernel by SIMD level; libm's pow does
+    # not, so the table (and every rank bound) is the same on every CPU
+    for n in range(2, 401):
+        w = np.array([math.pow(n, -r / (n - 1)) for r in range(n)])
+        p = w / w.sum()
+        p[-1] = p[0] / n
+        assert ga.selection_probabilities(n).tobytes() == p.tobytes(), n
+
+
 def test_selection_probabilities_shape():
     p = ga.selection_probabilities(100)
     assert np.all(np.diff(p) < 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evogate import genome, linalg, tasks
+from evogate import cli, genome, linalg, tasks
 from evogate.genome import CodecConfig
 from evogate.tasks import (
     OracleSlot,
@@ -17,6 +17,12 @@ from evogate.tasks import (
 CODEC = CodecConfig(depth=15)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
+FAMILY = {"oracle": {name: deutsch_oracle(name) for name in tasks.DEUTSCH_FUNCTIONS}}
+
+
+def deutsch_with(*pairs):
+    """The Deutsch circuit trained on the given (function, target) pairs."""
+    return TaskSpec(2, (TrainableSlot(1), OracleSlot(), TrainableSlot(2)), KET0, pairs, FAMILY)
 
 
 def random_genomes(n, seed):
@@ -71,10 +77,10 @@ def test_deutsch_identity_circuit_scores_half():
 def test_representative_choice_does_not_change_fitness():
     genomes = random_genomes(50, seed=0)
     params = genome.decode(genomes, CODEC)
-    reference = population_fitness(deutsch_task("const0", "identity"), params)
+    reference = population_fitness(deutsch_task(), params)
     for constant in ("const0", "const1"):
         for balanced in ("identity", "negation"):
-            alt = population_fitness(deutsch_task(constant, balanced), params)
+            alt = population_fitness(deutsch_with((constant, KET0), (balanced, KET1)), params)
             assert np.array_equal(alt, reference)
 
 
@@ -82,15 +88,9 @@ def test_all_functions_variant_matches_two_pair_fitness():
     genomes = random_genomes(30, seed=1)
     params = genome.decode(genomes, CODEC)
     two = population_fitness(deutsch_task(), params)
-    four = population_fitness(deutsch_task(all_functions=True), params)
+    four = population_fitness(deutsch_with(("const0", KET0), ("const1", KET0),
+                                           ("identity", KET1), ("negation", KET1)), params)
     assert np.max(np.abs(four - two)) <= 1e-15
-
-
-def test_deutsch_task_rejects_bad_representatives():
-    with pytest.raises(ValueError):
-        deutsch_task(constant="identity")
-    with pytest.raises(ValueError):
-        deutsch_task(balanced="const0")
 
 
 # ----------------------------------------------------------------- fitness
@@ -98,11 +98,11 @@ def test_deutsch_task_rejects_bad_representatives():
 def test_fitness_equals_mean_of_per_branch_fidelities():
     task = deutsch_task()
     for g in random_genomes(20, seed=2):
+        params = genome.decode(g, CODEC)
         f_by_branch = []
         for label, target in task.pairs:
-            u = compose_total(task, g, CODEC, label)
+            u = compose_total(task, params, label)
             f_by_branch.append(abs(np.vdot(target, u @ task.initial_state)) ** 2)
-        params = genome.decode(g, CODEC)
         fitness = float(population_fitness(task, params))
         assert abs(fitness - sum(f_by_branch) / 2.0) <= 1e-13
 
@@ -213,39 +213,38 @@ def test_compose_total_matches_manual_product():
     u1, u3 = linalg.su2_closed_form(params)
     for label in ("const0", "identity"):
         expected = u3 @ deutsch_oracle(label) @ u1
-        assert np.max(np.abs(compose_total(task, g, CODEC, label) - expected)) <= 1e-14
+        assert np.max(np.abs(compose_total(task, params, label) - expected)) <= 1e-14
 
 
 def test_compose_total_is_unitary():
     task = deutsch_task()
     for g in random_genomes(20, seed=6):
-        u = compose_total(task, g, CODEC, "identity")
+        u = compose_total(task, genome.decode(g, CODEC), "identity")
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
 
 def test_compose_total_unresolvable_label():
     task = deutsch_task()
     with pytest.raises(KeyError):
-        compose_total(task, random_genomes(1, seed=7)[0], CODEC, "nope")
+        compose_total(task, genome.decode(random_genomes(1, seed=7)[0], CODEC), "nope")
 
 
 def test_compose_total_shape_check():
     task = deutsch_task()
     with pytest.raises(ValueError):
-        compose_total(task, np.zeros((1, 3), dtype=np.int64), CODEC, "const0")
+        compose_total(task, genome.decode(np.zeros((1, 3), dtype=np.int64), CODEC), "const0")
 
 
 def test_template_supports_repeated_oracle_slots():
     # the oracle may appear in more than one place in the chain
     slots = (TrainableSlot(1), OracleSlot(), TrainableSlot(2), OracleSlot())
-    family = {"oracle": {name: deutsch_oracle(name) for name in tasks.DEUTSCH_FUNCTIONS}}
-    task = TaskSpec(2, slots, KET0, (("identity", KET1),), family)
-    g = random_genomes(1, seed=11)[0]
-    u1, u2 = linalg.su2_closed_form(genome.decode(g, CODEC))
+    task = TaskSpec(2, slots, KET0, (("identity", KET1),), FAMILY)
+    params = genome.decode(random_genomes(1, seed=11)[0], CODEC)
+    u1, u2 = linalg.su2_closed_form(params)
     oracle = deutsch_oracle("identity")
     expected = oracle @ u2 @ oracle @ u1
-    assert np.max(np.abs(compose_total(task, g, CODEC, "identity") - expected)) <= 1e-13
-    fitness = population_fitness(task, genome.decode(g, CODEC))
+    assert np.max(np.abs(compose_total(task, params, "identity") - expected)) <= 1e-13
+    fitness = population_fitness(task, params)
     assert 0.0 <= float(fitness) <= 1.0
 
 
@@ -283,13 +282,13 @@ def test_defect_bounded_by_error_on_converged_runs():
     for rec in records:
         if rec.termination_reason != "converged":
             continue
+        params = genome.decode(rec.best_genome, CODEC)
         outs = [
-            compose_total(task, rec.best_genome, CODEC, label) @ task.initial_state
+            compose_total(task, params, label) @ task.initial_state
             for label, _ in task.pairs
         ]
         _, _, defect = decision_outcome(outs[0], outs[1])
         assert defect <= 4.0 * rec.epsilon_opt + 1e-9
-        params = genome.decode(rec.best_genome, CODEC)
         ps = analysis.prepared_state(linalg.su2_closed_form(params[0]), task.initial_state)
         imbalance = abs(ps.alpha**2 - 0.5)
         assert abs(defect - 4.0 * imbalance**2) <= 1e-9
@@ -352,6 +351,6 @@ def test_task_dict_rejects_unknown_order():
 
 
 def test_builtin_task_lookup():
-    assert tasks.builtin_task("deutsch").name == "deutsch"
-    with pytest.raises(KeyError):
-        tasks.builtin_task("grover")
+    assert cli.resolve_task("deutsch").name == "deutsch"
+    with pytest.raises(OSError):  # any other name is read as a task file path
+        cli.resolve_task("grover")
