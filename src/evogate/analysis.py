@@ -1,5 +1,10 @@
 """Post-run analysis: rotation geometry, superposition balance, ensemble
-statistics, and the run-time-versus-accuracy exponential fit."""
+statistics, and the run-time-versus-accuracy exponential fit.
+
+Products that reach an output file are ``np.einsum`` contractions, as on the
+fitness path: ``@`` and ``np.linalg.norm`` go through BLAS, whose bits depend
+on the kernel OpenBLAS picks for the CPU.  Tolerance checks may keep them.
+"""
 
 from __future__ import annotations
 
@@ -106,7 +111,7 @@ def bloch_decompose(u: np.ndarray) -> BlochDecomposition:
     if sin_t > DEGENERATE_SIN:
         traces = np.einsum("ij,kji->k", su, sigma)
         axis = -traces.imag / (2.0 * sin_t)
-        axis = axis / np.linalg.norm(axis)
+        axis = axis / math.sqrt(np.einsum("k,k->", axis, axis))
         degenerate = False
     else:
         axis = np.array([0.0, 0.0, 1.0])
@@ -122,7 +127,7 @@ def prepared_state(u1: np.ndarray, psi_in: np.ndarray) -> PreparedState:
     psi = np.asarray(psi_in, dtype=complex)
     if psi.shape != (2,):
         raise ValueError(f"expected a qubit state, got shape {psi.shape}")
-    s = u1 @ psi
+    s = np.einsum("ij,j->i", u1, psi)
     a0 = abs(s[0])
     a1 = abs(s[1])
     alpha = min(a0, 1.0)
@@ -199,17 +204,17 @@ def _model(params: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return a * np.exp(-b * eps) + c
 
 
-def fit_exponential(eps, q, init=None) -> FitResult:
+def fit_exponential(eps, q) -> FitResult:
     """Least-squares fit of q = a * exp(-b * eps) + c by damped Gauss-Newton.
 
     Initialization: ``c0`` slightly below the smallest q, then a log-linear
-    regression of ``log(q - c0)`` on eps for ``(a0, b0)``; pass ``init`` to
-    override.  Damping starts at 1e-3, grows tenfold when a step increases
-    the residual and shrinks tenfold when it decreases; iteration stops when
-    the relative residual change drops below 1e-10 (or the residual hits the
-    rounding floor).  Singular normal equations or hitting the iteration cap
-    yield a flagged, not raised, non-converged result.  Standard errors come
-    from the linearized covariance at the solution.
+    regression of ``log(q - c0)`` on eps for ``(a0, b0)``.  Damping starts
+    at 1e-3, grows tenfold when a step increases the residual and shrinks
+    tenfold when it decreases; iteration stops when the relative residual
+    change drops below 1e-10 (or the residual hits the rounding floor).
+    Singular normal equations or hitting the iteration cap yield a flagged,
+    not raised, non-converged result.  Standard errors come from the
+    linearized covariance at the solution.
     """
     eps = np.asarray(eps, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -222,15 +227,10 @@ def fit_exponential(eps, q, init=None) -> FitResult:
     if np.all(eps == eps[0]):
         raise ValueError("eps values must not all be equal")
 
-    if init is None:
-        margin = max(0.05 * (q.max() - q.min()), 1e-6)
-        c0 = q.min() - margin
-        slope, intercept = np.polyfit(eps, np.log(q - c0), 1)
-        params = np.array([math.exp(intercept), -slope, c0])
-    else:
-        params = np.asarray(init, dtype=float).copy()
-        if params.shape != (3,):
-            raise ValueError("init must supply (a, b, c)")
+    margin = max(0.05 * (q.max() - q.min()), 1e-6)
+    c0 = q.min() - margin
+    slope, intercept = np.polyfit(eps, np.log(q - c0), 1)
+    params = np.array([math.exp(intercept), -slope, c0])
 
     r = q - _model(params, eps)
     rss = float(r @ r)

@@ -3,9 +3,10 @@
 Subcommands: ``run`` (one seeded search), ``sweep`` (an ensemble of seeds,
 optionally on a process pool), ``fit`` (exponential run-time-versus-accuracy
 fit of a results table), and ``reproduce`` (the canned figure-data
-pipelines).  Settings come from built-in defaults, then an optional flat
-``key = value`` config file, then command-line flags; the effective config is
-echoed to stdout and into every output file's metadata block.
+pipelines).  Settings come from built-in defaults, then a figure's presets
+(``reproduce`` only), then an optional flat ``key = value`` config file, then
+command-line flags; the effective config is echoed to stdout and into every
+output file's metadata block.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with flags
 (generation-cap stop, or a fit that did not converge or is not identified).
@@ -38,8 +39,10 @@ _INT_MINIMUMS = {"seeds": 1, "base_seed": 0, "horizon": 0, "workers": 1}
 # execution-context fields; everything else is echoed into output metadata
 _CONTEXT_KEYS = ("out", "workers")
 
-# the populations each canned figure sweeps unless --npop names one
-_FIGURE_NPOPS = {"fig5": [10, 50, 100], "fig6": [100], "fig7": [100, 200, 300, 400]}
+# each canned figure: the populations it sweeps unless npop is set, and its presets
+_FIGURES = {"fig5": ([10, 50, 100], {"seeds": 1000, "horizon": 100}),
+            "fig6": ([100], {"seeds": 1000}),
+            "fig7": ([100, 200, 300, 400], {"seeds": 1000})}
 
 
 def _setting(default, help_text: str):
@@ -58,11 +61,12 @@ class ExperimentConfig:
     task: str = _setting("deutsch", "built-in task name or task file path")
     npop: int = _setting(100, "population size")
     depth: int = _setting(15, "bits per chromosome (L)")
-    half_range: float = _setting(math.pi, "parameter half-range in radians (default pi)")
+    half_range: float = _setting(CodecConfig.half_range,
+                                 "parameter half-range in radians (default pi)")
     threshold: float = _setting(1e-4, "fitness-fluctuation termination threshold (h)")
-    mutation: float = _setting(0.0, "per-gene mutation probability")
-    elitism: int = _setting(0, "individuals copied unchanged")
-    max_gen: int = _setting(500, "generation safety cap")
+    mutation: float = _setting(GAConfig.mutation_rate, "per-gene mutation probability")
+    elitism: int = _setting(GAConfig.elitism, "individuals copied unchanged")
+    max_gen: int = _setting(GAConfig.max_generations, "generation safety cap")
     seeds: int = _setting(1, "ensemble size (number of seeds)")
     base_seed: int = _setting(1, "first seed (at least 0)")
     horizon: int = _setting(0, "pad mean-fitness curves to this many generations in stats output")
@@ -72,12 +76,8 @@ class ExperimentConfig:
     def metadata(self, **extra) -> dict:
         """Config echo for output files (execution context excluded so equal
         experiments produce byte-identical results)."""
-        meta = {}
-        for f in fields(self):
-            if f.name not in _CONTEXT_KEYS:
-                meta[f.name] = getattr(self, f.name)
-        meta.update(extra)
-        return meta
+        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _CONTEXT_KEYS}
+        return {**meta, **extra}
 
 
 def _coerce(key: str, value: str):
@@ -88,13 +88,14 @@ def _coerce(key: str, value: str):
         raise ValueError(f"config key {key!r}: cannot parse {value!r}") from exc
 
 
-def load_config(config_path, flag_values: dict):
-    """Merge defaults, config-file entries, and explicit CLI flags.
+def load_config(config_path, flag_values: dict, presets=None):
+    """Merge defaults, ``presets`` (a canned figure's), config-file entries
+    and explicit CLI flags, each over the one before.
 
-    Returns the effective config plus the set of explicitly set keys.  A
+    Returns the effective config plus the set of keys a file or flag set.  A
     value below its key's minimum in ``_INT_MINIMUMS`` raises ``ValueError``.
     """
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(**(presets or {}))
     explicit = set()
     known = {f.name for f in fields(ExperimentConfig)}
     if config_path is not None:
@@ -157,10 +158,8 @@ def _analysis_payload(record, task, codec, meta: dict) -> dict:
     payload["rotations"] = [asdict(analysis.bloch_decompose(u)) for u in unitaries]
     payload["prepared_state"] = asdict(analysis.prepared_state(unitaries[0], task.initial_state))
     if len(task.pairs) == 2:
-        outs = [
-            tasks_mod.compose_total(task, params, label) @ task.initial_state
-            for label, _ in task.pairs
-        ]
+        outs = [np.einsum("ij,j->i", tasks_mod.compose_total(task, params, label),
+                          task.initial_state) for label, _ in task.pairs]
         ok_const, ok_balanced, defect = tasks_mod.decision_outcome(outs[0], outs[1])
         payload["decision"] = {
             "success_constant": ok_const,
@@ -296,11 +295,10 @@ def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
     task = resolve_task(cfg.task)
     worst = EXIT_OK
 
-    npops = [cfg.npop] if "npop" in explicit else _FIGURE_NPOPS[figure]
-    horizon = 100 if figure == "fig5" and "horizon" not in explicit else cfg.horizon
+    npops = [cfg.npop] if "npop" in explicit else _FIGURES[figure][0]
     for npop in npops:
         prefix = "fig6_" if figure == "fig6" else f"{figure}_npop{npop}_"
-        npop_cfg = replace(cfg, npop=npop, horizon=horizon)
+        npop_cfg = replace(cfg, npop=npop)
         records = _sweep(npop_cfg, task, prefix)
         print(f"{figure}: npop={npop}: {len(records)}/{cfg.seeds} runs succeeded")
         if not records:
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_fit)
 
     p_rep = sub.add_parser("reproduce", help="canned figure-data pipelines")
-    p_rep.add_argument("figure", choices=sorted(_FIGURE_NPOPS))
+    p_rep.add_argument("figure", choices=sorted(_FIGURES))
     add_common(p_rep)
 
     return parser
@@ -365,9 +363,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     flag_values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     try:
-        cfg, explicit = load_config(args.config, flag_values)
-        if args.command == "reproduce" and "seeds" not in explicit:
-            cfg.seeds = 1000  # before the echo, so stdout matches the files' metadata
+        presets = _FIGURES[args.figure][1] if args.command == "reproduce" else None
+        cfg, explicit = load_config(args.config, flag_values, presets)
         _echo_config(cfg)
         if args.command == "run":
             return cmd_run(cfg)

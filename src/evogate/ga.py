@@ -10,25 +10,9 @@ candidates.  Randomness comes from four named PCG64 streams derived from the
 run seed (population init, parent selection, crossover cut points,
 mutation), which makes every run a pure function of (config, task, seed).
 
-Draw contract, so that ports can match run for run; it is stated in genes
-and does not depend on the code representation.  The init stream makes one
-draw per run (see ``run``).  A generation with ``P = ceil((n_pop -
-elitism) / 2)`` pairs, the task's ``S`` slots and ``C`` components, and codec
-depth ``L`` draws:
-
-* selection: one double per rank draw, pair by pair: the first parent's
-  rank, then the second's, redrawn until it differs from the first.  A
-  double ``u`` maps to rank ``min(searchsorted(cumsum(p), u, "right"),
-  n_pop - 1)`` over ``p = selection_probabilities(n_pop)``;
-* crossover: one ``integers(0, L*(L+1)/2, size=(P, S, C))`` call; value
-  ``k`` picks the k-th cut pair ``1 <= s <= e <= L`` in lexicographic order,
-  and genes ``s..e`` of that chromosome swap between the two parents.  On
-  codes the cut pair is the mask with bits ``L-e .. L-s`` set;
-* mutation: one ``random((P, 2, S, C, L))`` call, a gene flipping where its
-  double is below the rate, and none at all when the rate is 0.  On codes
-  the flips of a chromosome are packed like its genes and XORed in.  When
-  ``n_pop - elitism`` is odd the last pair's kid b is discarded after its
-  flips are drawn.
+The draws each step makes, in order, and how they act on the codes are
+stated in README "Determinism and randomness", which
+``tests/test_contract_port.py`` checks with a scalar port.
 """
 
 from __future__ import annotations
@@ -141,21 +125,19 @@ class RunRecord:
     epsilon_opt: float
 
 
-@lru_cache(maxsize=None)
 def selection_probabilities(n_pop: int) -> np.ndarray:
     """Rank-selection distribution: weight n_pop**(-(n-1)/(n_pop-1)) for rank n.
 
     Strictly decreasing, normalized to one, and the worst rank's probability
-    is exactly the best rank's divided by ``n_pop``.  Cached and read-only.
-    The weights come from libm's ``pow`` (``math.pow``), whose bits, unlike
-    numpy's float64 ``power``, do not depend on the CPU's SIMD level.
+    is exactly the best rank's divided by ``n_pop``.  The weights come from
+    libm's ``pow`` (``math.pow``), whose bits, unlike numpy's float64
+    ``power``, do not depend on the CPU's SIMD level.
     """
     if n_pop < 2:
         raise ValueError(f"rank selection needs n_pop >= 2, got {n_pop}")
     w = np.array([math.pow(n_pop, -r / (n_pop - 1)) for r in range(n_pop)])
     p = w / w.sum()
     p[-1] = p[0] / n_pop  # pin the exact tail identity against libm rounding
-    p.flags.writeable = False
     return p
 
 
@@ -238,8 +220,8 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     segment per chromosome (so each pair yields kids a and b that conserve
     the parents' genes position by position), flip each gene with
     probability ``mutation_rate``.  Children go pair-major, kid a before
-    kid b; an odd count discards the last kid b.  The module docstring
-    gives the draws and how they act on the codes.
+    kid b; an odd count discards the last kid b.  README "Determinism
+    and randomness" gives the draws and how they act on the codes.
     """
     codes = pop.genomes
     n_bred = cfg.n_pop - cfg.elitism

@@ -12,8 +12,8 @@ matrices taken right to left ("rightmost-acts-first").  Trainable slot ``k``
 takes the ``k``-th parameter vector; oracle slots look their matrix up in an
 oracle family keyed by the classical input label of each training pair.
 
-Stored fitness values are re-scored exactly, so every product in
-:func:`population_fitness` is an ``np.einsum`` contraction.  Keep it so:
+Stored fitness values are re-scored exactly, so every product that reaches
+a score or an output file is an ``np.einsum`` contraction.  Keep it so:
 numpy's complex ``*`` ufunc and ``@`` round differently from einsum on
 general complex matrices.  Keep the candidate axis last and contiguous in
 those contractions, too: einsum runs its inner loop over the last axis, and
@@ -239,7 +239,7 @@ def compose_total(task: TaskSpec, params: np.ndarray, x: str) -> np.ndarray:
             m = us[slot.index - 1]
         else:
             m = task.oracle_families[slot.family][x]
-        total = m @ total
+        total = np.einsum("ij,jk->ik", m, total)
     return total
 
 
@@ -302,7 +302,7 @@ def decision_outcome(out_constant: np.ndarray, out_balanced: np.ndarray):
         raise ValueError(f"output shapes do not match: {a.shape} vs {b.shape}")
     success_const = float(abs(a[0]) ** 2)
     success_balanced = float(abs(b[1]) ** 2)
-    defect = float(abs(np.vdot(a, b)) ** 2)
+    defect = float(abs(np.einsum("i,i->", a.conj(), b)) ** 2)
     return success_const, success_balanced, defect
 
 

@@ -98,6 +98,40 @@ def test_unknown_config_key_fails(tmp_path):
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_config_value_of_the_wrong_type_fails(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("npop = 1.5\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "config key 'npop': cannot parse '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--npop", "12", "--base-seed", "3"],
+    ["sweep", "--npop", "12", "--seeds", "3"],
+    ["fit", "points.csv", "--bins", "0"],
+    ["reproduce", "fig5", "--npop", "10", "--seeds", "3", "--max-gen", "30"],
+    ["reproduce", "fig6", "--npop", "12", "--seeds", "3"],
+], ids=["run", "sweep", "fit", "fig5", "fig6"])
+def test_config_echo_is_the_files_metadata(tmp_path, monkeypatch, capsys, command):
+    # a figure's presets apply before the echo, so stdout tells what the
+    # files' metadata blocks say
+    monkeypatch.chdir(tmp_path)
+    Path("points.csv").write_text("epsilon,q\n" + "".join(
+        f"{e},{20 * math.exp(-15 * e) + 9}\n" for e in (0.0, 0.03, 0.06, 0.1, 0.15, 0.2)))
+    assert main([*command, "--out", "out"]) in (0, 2)
+    echo = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                if line.split(" = ")[0].isidentifier())
+    tables = sorted(Path("out").glob("*.csv"))
+    assert tables
+    for table in tables:
+        meta, _, _ = read_table(table)
+        shared = echo.keys() & meta.keys()
+        assert "seeds" in shared
+        assert {k: meta[k] for k in shared} == {k: echo[k] for k in shared}, table.name
+
+
 def test_usage_error_exit_code():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -530,6 +564,19 @@ def test_fit_missing_input(tmp_path):
     assert main(["fit", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# metadata only\n# npop = 10\n", "no data rows"),
+    ("epsilon,q\nnan,3\n0.1,nan\nnan,nan\n", "no usable data points"),
+])
+def test_fit_without_points_fails(tmp_path, capsys, text, message):
+    src = tmp_path / "points.csv"
+    src.write_text(text)
+    out = tmp_path / "o"
+    assert main(["fit", str(src), "--out", str(out)]) == 1
+    assert f"{src}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- reproduce
 
 def test_reproduce_fig5_smoke(tmp_path):
@@ -563,6 +610,22 @@ def test_reproduce_fig7_smoke(tmp_path):
     assert rc in (0, 2)  # tiny ensembles may flag a non-converged fit
     assert (out / "fig7_npop40_runs.csv").exists()
     assert (out / "fig7_npop40_fit.csv").exists()
+
+
+def test_reproduce_all_failures_exits_nonzero(tmp_path, capsys, monkeypatch):
+    import evogate.cli as cli_mod
+
+    def always_fail(ga_cfg, task, seed):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(cli_mod, "ga_run", always_fail)
+    out = tmp_path / "dead"
+    assert main(["reproduce", "fig6", "--npop", "12", "--seeds", "3", "--out", str(out)]) == 1
+    assert "error: all runs failed for npop=12" in capsys.readouterr().err
+    _, _, rows = read_table(out / "fig6_runs.csv")
+    assert [(r["seed"], r["termination_reason"]) for r in rows] == [
+        ("1", "error"), ("2", "error"), ("3", "error")]
+    assert not (out / "fig6_stats.csv").exists()
 
 
 def test_reproduce_fig7_skips_a_fit_without_enough_points(tmp_path, capsys):
