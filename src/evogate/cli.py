@@ -71,7 +71,7 @@ class ExperimentConfig:
     base_seed: int = _setting(1, "first seed (at least 0)")
     horizon: int = _setting(0, "pad mean-fitness curves to this many generations in stats output")
     out: str = _setting("results", "output directory")
-    workers: int = _setting(1, "process-pool size for sweeps")
+    workers: int = _setting(1, "processes that run a sweep's seeds, this one included")
 
     def metadata(self, **extra) -> dict:
         """Config echo for output files (execution context excluded so equal
@@ -134,10 +134,11 @@ def make_ga_config(cfg: ExperimentConfig, task: tasks_mod.TaskSpec) -> GAConfig:
     )
 
 
-def _echo_config(cfg: ExperimentConfig) -> None:
+def _echo_config(cfg: ExperimentConfig, npops: list) -> None:
     print(f"# evogate {__version__}")
     for f in fields(cfg):
-        print(f"{f.name} = {files.fmt(getattr(cfg, f.name))}")
+        value = ",".join(map(str, npops)) if f.name == "npop" else getattr(cfg, f.name)
+        print(f"{f.name} = {files.fmt(value)}")
 
 
 def _analysis_payload(record, task, codec, meta: dict) -> dict:
@@ -177,26 +178,56 @@ def _sweep_worker(payload):
         return "error", f"seed {seed}: {exc}"
 
 
-def run_many(ga_cfg, task, seeds, workers: int):
-    """Execute seeded runs, in order, optionally on a process pool.
+_claim = ()  # (counter, payloads), set in each pool child by its initializer
 
-    Results are merged by run index, so the outcome does not depend on the
-    worker count.  The pool has at most one worker per seed, and one worker
-    means no pool.  It gets the runs in chunks of about a quarter of each
-    worker's share (``multiprocessing.Pool.map``'s rule), so a sweep of
-    short runs is not dominated by one round trip per run.
+
+def _drain_init(*handle) -> None:
+    global _claim
+    _claim = handle
+
+
+def _drain(*handle) -> dict:
+    """Run unclaimed indices of ``handle`` (or ``_claim``) until none is left."""
+    claim, payloads = handle or _claim
+    done = {}
+    while True:
+        with claim.get_lock():
+            i = claim.value
+            claim.value = min(i + 1, len(payloads))
+        if i == len(payloads):
+            return done
+        done[i] = _sweep_worker(payloads[i])
+
+
+def run_many(ga_cfg, task, seeds, workers: int):
+    """Execute seeded runs; returns their ``(status, record)`` pairs in seed order.
+
+    ``min(workers, len(seeds))`` processes, this one and forked children, take
+    run indices from one shared counter; one means no pool.  Merged by index,
+    the outcome does not depend on the worker count; a dead child's runs fail.
     """
     payloads = [(ga_cfg, task, s) for s in seeds]
     workers = min(workers, len(payloads))
-    if workers > 1:
-        # imported here, in the parent before the first fork, so that serial
-        # commands never load concurrent.futures and multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        return [_sweep_worker(p) for p in payloads]
+    # imported here, in the parent before the first fork, so that serial
+    # commands never load concurrent.futures and multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from multiprocessing import Value
 
-        chunksize = max(1, math.ceil(len(payloads) / (4 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
-    return [_sweep_worker(p) for p in payloads]
+    claim = Value("q", 0)
+    with ProcessPoolExecutor(workers - 1, initializer=_drain_init,
+                             initargs=(claim, payloads)) as pool:
+        children = [pool.submit(_drain) for _ in range(workers - 1)]
+        try:
+            done = _drain(claim, payloads)
+        finally:  # if this drain raised, children stop after their current run
+            claim.value = len(payloads)
+        for child in children:  # a child that died loses only its own runs
+            if not isinstance(child.exception(), BrokenExecutor):
+                done.update(child.result())
+    return [done.get(i, ("error", f"seed {seed}: worker process died"))
+            for i, (_, _, seed) in enumerate(payloads)]
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -239,6 +270,7 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
                          rec.termination_reason, field))
         else:
             rows.append((i, seeds[i], 0, math.nan, math.nan, "error", ""))
+            print(f"warning: {rec}", file=sys.stderr)
     files.write_runs_csv(path("runs.csv"), rows, meta)
 
     if records:
@@ -251,10 +283,6 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
                 ps = analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
                 rows.append((rec.seed - cfg.base_seed, ps.alpha, ps.phi, rec.epsilon_opt))
             files.write_alpha_phi_csv(path("alpha_phi.csv"), rows, meta)
-
-    for status, message in results:
-        if status != "ok":
-            print(f"warning: {message}", file=sys.stderr)
     return records
 
 
@@ -291,11 +319,9 @@ def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
     return EXIT_OK if fit.converged and fit.identified else EXIT_FLAGGED
 
 
-def cmd_reproduce(cfg: ExperimentConfig, explicit, figure: str) -> int:
+def cmd_reproduce(cfg: ExperimentConfig, npops: list, figure: str) -> int:
     task = resolve_task(cfg.task)
     worst = EXIT_OK
-
-    npops = [cfg.npop] if "npop" in explicit else _FIGURES[figure][0]
     for npop in npops:
         prefix = "fig6_" if figure == "fig6" else f"{figure}_npop{npop}_"
         npop_cfg = replace(cfg, npop=npop)
@@ -336,11 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                            help=f.metadata["help"])
 
-    p_run = sub.add_parser("run", help="one seeded search")
-    add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="an ensemble of seeded searches")
-    add_common(p_sweep)
+    add_common(sub.add_parser("run", help="one seeded search"))
+    add_common(sub.add_parser("sweep", help="an ensemble of seeded searches"))
 
     p_fit = sub.add_parser("fit", help="exponential fit of (epsilon, q) data")
     p_fit.add_argument("input", help="CSV with epsilon_opt/q_c (or epsilon/q) columns")
@@ -365,14 +388,16 @@ def main(argv=None) -> int:
     try:
         presets = _FIGURES[args.figure][1] if args.command == "reproduce" else None
         cfg, explicit = load_config(args.config, flag_values, presets)
-        _echo_config(cfg)
+        swept = presets is not None and "npop" not in explicit  # the figure's populations
+        npops = _FIGURES[args.figure][0] if swept else [cfg.npop]
+        _echo_config(cfg, npops)
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "fit":
             return cmd_fit(cfg, args.input, args.bins)
-        return cmd_reproduce(cfg, explicit, args.figure)
+        return cmd_reproduce(cfg, npops, args.figure)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

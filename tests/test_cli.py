@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -325,6 +326,15 @@ def test_reproduce_echoes_its_default_seed_count(tmp_path, capsys):
     assert meta["seeds"] == "1000" and len(rows) == 1000
 
 
+def test_reproduce_echoes_the_populations_it_sweeps(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["reproduce", "fig5", "--seeds", "2", "--max-gen", "5", "--out", str(out)]) == 0
+    echoed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("npop = ")]
+    swept = {read_table(table)[0]["npop"] for table in out.glob("*.csv")}
+    assert sorted(swept, key=int) == ["10", "50", "100"]
+    assert echoed == ["npop = " + ",".join(sorted(swept, key=int))]
+
+
 def test_sweep_outputs_and_worker_determinism(tmp_path):
     args = ["sweep", "--npop", "16", "--seeds", "4", "--base-seed", "3"]
     out1 = tmp_path / "w1"
@@ -394,13 +404,69 @@ def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     args = ["sweep", "--npop", "10", "--base-seed", "5"]
-    assert main(args + ["--seeds", "2", "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
-    assert asked == [2]
-    assert main(args + ["--seeds", "2", "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
-    assert main(args + ["--seeds", "1", "--workers", "3", "--out", str(tmp_path / "s1")]) == 0
-    assert asked == [2]  # a single worker runs serially, without a pool
-    for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
-        assert read_bytes(tmp_path / "w3" / name) == read_bytes(tmp_path / "w1" / name), name
+
+    def sweep(seeds, workers):
+        out = tmp_path / f"s{seeds}w{workers}"
+        assert main(args + ["--seeds", str(seeds), "--workers", str(workers),
+                            "--out", str(out)]) == 0
+        return out
+
+    # the command's own process is one of the workers, so N workers fork N - 1
+    pooled = {2: sweep(2, 3)}
+    assert asked == [1]
+    pooled[6] = sweep(6, 3)
+    assert asked == [1, 2]
+    sweep(1, 3)
+    assert asked == [1, 2]  # a single worker runs serially, without a pool
+    for seeds, out in pooled.items():
+        serial = sweep(seeds, 1)
+        for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
+            assert read_bytes(out / name) == read_bytes(serial / name), (seeds, name)
+
+
+def test_every_process_claims_and_each_run_index_runs_once(tmp_path, monkeypatch):
+    # the first six runs sleep, so that the children start before the parent
+    # has claimed every index; the rest are instant, so that three processes
+    # on two cores race for the counter.  Each run logs its seed, since a
+    # lost counter update would run an index twice, not skip one.
+    log = tmp_path / "claims"
+
+    def whose(ga_cfg, task, seed):
+        time.sleep(0.05 if seed < 6 else 0)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{seed}\n")
+        return seed, os.getpid()
+
+    monkeypatch.setattr(cli, "ga_run", whose)
+    results = cli.run_many(None, None, range(2000), 3)
+    assert all(status == "ok" for status, _ in results)
+    assert [seed for _, (seed, _) in results] == list(range(2000))
+    assert sorted(map(int, log.read_text().split())) == list(range(2000))
+    pids = {pid for _, (_, pid) in results}
+    assert os.getpid() in pids and len(pids) == 3
+
+
+def test_a_dead_child_loses_only_its_own_runs(tmp_path, monkeypatch, capsys):
+    # the child dies in its first run; the parent sleeps before each of its
+    # runs, so that the child surely claims one before the parent drains them all
+    real_run, me = cli.ga_run, os.getpid()
+
+    def fragile(ga_cfg, task, seed):
+        if os.getpid() != me:
+            os._exit(70)
+        time.sleep(0.05)
+        return real_run(ga_cfg, task, seed)
+
+    monkeypatch.setattr(cli, "ga_run", fragile)
+    out = tmp_path / "o"
+    main(["sweep", "--npop", "10", "--seeds", "8", "--workers", "2", "--out", str(out)])
+    _, _, rows = read_table(out / "runs.csv")
+    reasons = [r["termination_reason"] for r in rows]
+    assert len(reasons) == 8 and reasons.count("error") == 1, reasons
+    lost = rows[reasons.index("error")]["seed"]
+    assert f"warning: seed {lost}: worker process died" in capsys.readouterr().err
+    _, _, alpha_rows = read_table(out / "alpha_phi.csv")
+    assert len(alpha_rows) == 7
 
 
 def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
