@@ -9,7 +9,8 @@ command-line flags; the effective config is echoed to stdout and into every
 output file's metadata block.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with flags
-(generation-cap stop, or a fit that did not converge or is not identified).
+(generation-cap stop, a sweep with a failed or lost run, or a fit that did
+not converge or is not identified).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -170,33 +172,27 @@ def _analysis_payload(record, task, codec, meta: dict) -> dict:
     return payload
 
 
-def _sweep_worker(payload):
-    ga_cfg, task, seed = payload
+def _sweep_worker(ga_cfg, task, seed):
     try:
         return "ok", ga_run(ga_cfg, task, seed)
     except Exception as exc:  # recorded per run; the sweep continues
         return "error", f"seed {seed}: {exc}"
 
 
-_claim = ()  # (counter, payloads), set in each pool child by its initializer
-
-
-def _drain_init(*handle) -> None:
-    global _claim
-    _claim = handle
-
-
-def _drain(*handle) -> dict:
-    """Run unclaimed indices of ``handle`` (or ``_claim``) until none is left."""
-    claim, payloads = handle or _claim
+def _drain(claim, ga_cfg, task, seeds) -> dict:
+    """Run the indices of ``seeds`` that ``claim`` hands out until none is left."""
     done = {}
     while True:
         with claim.get_lock():
             i = claim.value
-            claim.value = min(i + 1, len(payloads))
-        if i == len(payloads):
+            claim.value = min(i + 1, len(seeds))
+        if i == len(seeds):
             return done
-        done[i] = _sweep_worker(payloads[i])
+        done[i] = _sweep_worker(ga_cfg, task, seeds[i])
+
+
+def _child(writer, *drain_args) -> None:
+    writer.send(_drain(*drain_args))  # once, at the end: a child that dies sends nothing
 
 
 def run_many(ga_cfg, task, seeds, workers: int):
@@ -204,30 +200,37 @@ def run_many(ga_cfg, task, seeds, workers: int):
 
     ``min(workers, len(seeds))`` processes, this one and forked children, take
     run indices from one shared counter; one means no pool.  Merged by index,
-    the outcome does not depend on the worker count; a dead child's runs fail.
+    the outcome does not depend on the worker count.  A dead child costs only
+    its own runs, and no child outlives the call.
     """
-    payloads = [(ga_cfg, task, s) for s in seeds]
-    workers = min(workers, len(payloads))
+    workers = min(workers, len(seeds))
     if workers == 1:
-        return [_sweep_worker(p) for p in payloads]
-    # imported here, in the parent before the first fork, so that serial
-    # commands never load concurrent.futures and multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-    from multiprocessing import Value
+        return [_sweep_worker(ga_cfg, task, s) for s in seeds]
+    # imported in the parent before the first fork, so serial commands never
+    # load it; the children fork to inherit ga_run, settings, task and seeds
+    from multiprocessing import get_context
 
-    claim = Value("q", 0)
-    with ProcessPoolExecutor(workers - 1, initializer=_drain_init,
-                             initargs=(claim, payloads)) as pool:
-        children = [pool.submit(_drain) for _ in range(workers - 1)]
-        try:
-            done = _drain(claim, payloads)
-        finally:  # if this drain raised, children stop after their current run
-            claim.value = len(payloads)
-        for child in children:  # a child that died loses only its own runs
-            if not isinstance(child.exception(), BrokenExecutor):
-                done.update(child.result())
+    fork = get_context("fork")
+    claim = fork.Value("q", 0)
+    children, done = [], {}
+    try:
+        for _ in range(workers - 1):
+            reader, writer = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_child, args=(writer, claim, ga_cfg, task, seeds),
+                                daemon=True)
+            proc.start()
+            writer.close()  # before the next fork, so only this child holds the write end
+            children.append((proc, reader))
+        done.update(_drain(claim, ga_cfg, task, seeds))
+    finally:  # if this drain raised, children stop after their current run
+        claim.value = len(seeds)
+        for proc, reader in children:  # read first: a large map blocks the child in send
+            # end of file, also inside a message: the child died, its runs are lost
+            with reader, suppress(EOFError, OSError):
+                done.update(reader.recv())
+            proc.join()
     return [done.get(i, ("error", f"seed {seed}: worker process died"))
-            for i, (_, _, seed) in enumerate(payloads)]
+            for i, seed in enumerate(seeds)]
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -289,7 +292,9 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     records = _sweep(cfg, resolve_task(cfg.task))
     print(f"sweep: {len(records)}/{cfg.seeds} runs succeeded, results in {cfg.out}")
-    return EXIT_OK if records else EXIT_ERROR
+    if not records:
+        return EXIT_ERROR
+    return EXIT_OK if len(records) == cfg.seeds else EXIT_FLAGGED
 
 
 def _fit_step(cfg: ExperimentConfig, eps, q, bins: int, name: str, **source):
@@ -329,6 +334,8 @@ def cmd_reproduce(cfg: ExperimentConfig, npops: list, figure: str) -> int:
         print(f"{figure}: npop={npop}: {len(records)}/{cfg.seeds} runs succeeded")
         if not records:
             raise RuntimeError(f"all runs failed for npop={npop}")
+        if len(records) < cfg.seeds:
+            worst = EXIT_FLAGGED
         if figure != "fig7":
             continue
         done = [r for r in records if r.termination_reason == "converged"]

@@ -159,25 +159,20 @@ class TaskSpec:
 
     @cached_property
     def _circuit_plan(self) -> tuple:
-        """``(prefix, steps, targets)``: the circuit as :func:`population_fitness`
+        """``(steps, targets)``: the circuit as :func:`population_fitness`
         applies it to all pairs at once.
 
-        ``prefix`` holds the 0-based indices of the trainable slots before the
-        first oracle slot, which act the same for every pair.  ``steps`` holds
-        the remaining slots: a trainable index, or the pairs' oracle matrices
-        stacked as ``(n_pairs, d, d)``.  ``targets`` stacks the conjugated
-        targets as ``(n_pairs, d)``.
+        ``steps`` holds one entry per slot: a 0-based trainable index, or the
+        pairs' oracle matrices stacked as ``(n_pairs, d, d)``.  ``targets``
+        stacks the conjugated targets as ``(n_pairs, d)``.
         """
-        slots = self.slots
-        n_shared = next((i for i, s in enumerate(slots) if isinstance(s, OracleSlot)), len(slots))
         labels = [label for label, _ in self.pairs]
         steps = tuple(
             s.index - 1 if isinstance(s, TrainableSlot)
             else _frozen_state([self.oracle_families[s.family][x] for x in labels])
-            for s in slots[n_shared:]
+            for s in self.slots
         )
-        targets = _frozen_state([t.conj() for _, t in self.pairs])
-        return tuple(s.index - 1 for s in slots[:n_shared]), steps, targets
+        return steps, _frozen_state([t.conj() for _, t in self.pairs])
 
 
 def deutsch_oracle(name: str) -> np.ndarray:
@@ -252,9 +247,9 @@ def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
 
     The leading axes are flattened to one batch axis, which is made the last
     and contiguous axis of every operand, so each contraction's inner loop
-    runs over the candidates.  The trainable slots before the first oracle
-    slot act the same for every pair, so they are applied once; the pairs
-    then share one contraction per slot through a pair axis.  Each
+    runs over the candidates.  The pairs share one contraction per slot
+    through a pair axis, which stays length 1 until the first oracle slot, so
+    the trainable slots before it are applied once for all pairs.  Each
     contraction sums over the state index in order and the fidelities add up
     in task order, as scoring pair by pair would, so a candidate's score is
     bit-identical whatever batch it is scored in.  The products stay
@@ -270,11 +265,8 @@ def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
     us = _trainable_unitaries(params.reshape((-1,) + params.shape[-2:]), d)
     # (slots, d, d, batch): the candidates are einsum's inner loop
     us = np.ascontiguousarray(us.transpose(1, 2, 3, 0))
-    prefix, steps, targets = task._circuit_plan
-    state = task.initial_state
-    for k in prefix:
-        state = np.einsum("ij...,j...->i...", us[k], state)
-    state = state[None]  # a pair axis, broadcast until the first oracle
+    steps, targets = task._circuit_plan
+    state = task.initial_state[None]  # a pair axis, length 1 until the first oracle
     for step in steps:
         if isinstance(step, int):
             state = np.einsum("ij...,pj...->pi...", us[step], state)

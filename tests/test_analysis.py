@@ -145,7 +145,7 @@ def test_hold_last():
         hold_last([0.2], 0)
 
 
-def test_mean_fitness_curves_single_run():
+def test_ensemble_stats_single_run_holds_last_to_the_horizon():
     rec = StubRecord([0.3, 0.6, 0.8], 3)
     mean, std, counts = ensemble_stats([rec], horizon=5)
     assert np.array_equal(mean, [0.3, 0.6, 0.8, 0.8, 0.8])

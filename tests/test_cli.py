@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -393,16 +394,13 @@ def test_sweep_on_a_qutrit_task_file(tmp_path):
 
 
 def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
-    import concurrent.futures
+    forks, real_fork = [], os.fork
 
-    asked = []
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    class Recorder(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            asked.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "fork", counting_fork)
     args = ["sweep", "--npop", "10", "--base-seed", "5"]
 
     def sweep(seeds, workers):
@@ -413,11 +411,12 @@ def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
 
     # the command's own process is one of the workers, so N workers fork N - 1
     pooled = {2: sweep(2, 3)}
-    assert asked == [1]
+    assert len(forks) == 1
     pooled[6] = sweep(6, 3)
-    assert asked == [1, 2]
+    assert len(forks) == 3
     sweep(1, 3)
-    assert asked == [1, 2]  # a single worker runs serially, without a pool
+    assert len(forks) == 3  # a single worker runs serially, without a pool
+    assert set(forks) == {os.getpid()}  # no child forks
     for seeds, out in pooled.items():
         serial = sweep(seeds, 1)
         for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
@@ -459,7 +458,8 @@ def test_a_dead_child_loses_only_its_own_runs(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "ga_run", fragile)
     out = tmp_path / "o"
-    main(["sweep", "--npop", "10", "--seeds", "8", "--workers", "2", "--out", str(out)])
+    assert main(["sweep", "--npop", "10", "--seeds", "8", "--workers", "2",
+                 "--out", str(out)]) == 2  # a lost run flags the sweep
     _, _, rows = read_table(out / "runs.csv")
     reasons = [r["termination_reason"] for r in rows]
     assert len(reasons) == 8 and reasons.count("error") == 1, reasons
@@ -467,6 +467,96 @@ def test_a_dead_child_loses_only_its_own_runs(tmp_path, monkeypatch, capsys):
     assert f"warning: seed {lost}: worker process died" in capsys.readouterr().err
     _, _, alpha_rows = read_table(out / "alpha_phi.csv")
     assert len(alpha_rows) == 7
+
+
+@pytest.mark.parametrize("workers", [3, 4])
+def test_a_dead_child_spares_its_siblings(tmp_path, monkeypatch, capsys, workers):
+    # The child that wins the flag file dies in its first run, but only once
+    # another has finished a run and is still draining (survivors sleep 20 ms
+    # a run; the parent 50 ms).  The survivors' runs must still arrive: only
+    # the dead child's one claimed run is lost.
+    real_run, me = cli.ga_run, os.getpid()
+    flag, ran = tmp_path / "dies", tmp_path / "ran"
+
+    def fragile(ga_cfg, task, seed):
+        if os.getpid() == me:
+            time.sleep(0.05)
+            return real_run(ga_cfg, task, seed)
+        try:
+            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:  # a survivor
+            time.sleep(0.02)
+            record = real_run(ga_cfg, task, seed)
+            ran.touch()
+            return record
+        deadline = time.monotonic() + 30
+        while not ran.exists() and time.monotonic() < deadline:
+            time.sleep(0.002)
+        os._exit(70)
+
+    monkeypatch.setattr(cli, "ga_run", fragile)
+    out = tmp_path / "o"
+    assert main(["sweep", "--npop", "10", "--seeds", "16", "--workers", str(workers),
+                 "--out", str(out)]) == 2
+    assert ran.exists()
+    _, _, rows = read_table(out / "runs.csv")
+    reasons = [r["termination_reason"] for r in rows]
+    assert len(reasons) == 16 and reasons.count("error") == 1, reasons
+    lost = rows[reasons.index("error")]["seed"]
+    err = capsys.readouterr().err
+    assert err.count("worker process died") == 1
+    assert f"warning: seed {lost}: worker process died" in err
+
+
+def test_a_child_killed_while_sending_loses_only_its_own_runs(monkeypatch):
+    # the child runs its share, then dies inside its message: a length
+    # header (multiprocessing's 4-byte big-endian framing) for 1 MB, cut
+    # after 100 bytes.  The parent's runs and the merge must survive it.
+    def cut_short(writer, *drain_args):
+        cli._drain(*drain_args)
+        os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"x" * 100)
+        os._exit(70)
+
+    def slow(ga_cfg, task, seed):
+        time.sleep(0.005)
+        return seed
+
+    monkeypatch.setattr(cli, "_child", cut_short)
+    monkeypatch.setattr(cli, "ga_run", slow)
+    results = cli.run_many(None, None, range(40), 2)
+    lost = [i for i, (status, _) in enumerate(results) if status == "error"]
+    assert 0 < len(lost) < 40, results
+    assert all(results[i] == ("error", f"seed {i}: worker process died") for i in lost)
+    assert all(results[i] == ("ok", i) for i in set(range(40)) - set(lost))
+
+
+def test_run_many_starts_no_thread_and_leaves_no_child(monkeypatch):
+    # the parent forks and runs with no helper thread, and no child outlives
+    # the call, whether it returns or the parent's own drain raises
+    import multiprocessing
+    import threading
+
+    class Stop(BaseException):
+        pass
+
+    me, before, threads = os.getpid(), threading.active_count(), []
+
+    def counted(ga_cfg, task, seed):
+        if os.getpid() == me:
+            threads.append(threading.active_count())
+            if seed == "stop":
+                raise Stop
+        time.sleep(0.005)
+        return seed
+
+    monkeypatch.setattr(cli, "ga_run", counted)
+    results = cli.run_many(None, None, list(range(40)), 3)
+    assert [r for _, r in results] == list(range(40))
+    assert multiprocessing.active_children() == []
+    with pytest.raises(Stop):
+        cli.run_many(None, None, ["stop"] * 40, 3)
+    assert multiprocessing.active_children() == []
+    assert threads and set(threads) == {before}, (before, threads)
 
 
 def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
@@ -483,7 +573,7 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
     out = tmp_path / "flaky"
     rc = main(["sweep", "--npop", "12", "--seeds", "3", "--base-seed", "1",
                "--out", str(out)])
-    assert rc == 0  # two runs still succeeded
+    assert rc == 2  # two runs still succeeded; the failed one flags the sweep
     _, _, rows = read_table(out / "runs.csv")
     assert [r["termination_reason"] for r in rows] == ["converged", "error", "converged"]
     assert rows[1]["epsilon_opt"] == "nan"
@@ -754,8 +844,8 @@ def test_a_run_imports_nothing(tmp_path):
 
 
 def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
-    # the pool modules cost every interpreter about 2 MB and 25 ms, so only
-    # a sweep that starts a pool may import them
+    # multiprocessing costs every interpreter about 1 MB and 10 ms, so only a
+    # sweep that forks children may import it; concurrent.futures is never loaded
     script = textwrap.dedent("""
         import contextlib, io, json, os, sys
         from evogate import cli
@@ -772,7 +862,7 @@ def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             for name, argv in commands.items():
                 code = cli.main(argv)
-                seen[name] = [code, [m for m in ("concurrent.futures.process", "multiprocessing")
+                seen[name] = [code, [m for m in ("concurrent.futures", "multiprocessing")
                                      if m in sys.modules]]
         print(json.dumps(seen))
     """)
@@ -783,4 +873,4 @@ def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
     assert all(code in (0, 2) for code, _ in seen.values()), seen
     pooled = seen.pop("sweep --workers 2")[1]
     assert {name: loaded for name, (_, loaded) in seen.items()} == dict.fromkeys(seen, [])
-    assert pooled == ["concurrent.futures.process", "multiprocessing"]
+    assert pooled == ["multiprocessing"]

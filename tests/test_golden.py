@@ -83,8 +83,8 @@ CASES = {
         "324a660dc1b202c4ed0910ec09cd4fa796f1be944c01678c65547a86a0820427",
         "f50616df9ac5b0b4100afd1a1a250759fdd2f69f609c59b5f2f5d31cdb9e3954",
     ),
-    # hold-last stats (mean_fitness_curves): runs stopping at generations
-    # 36, 39, 48 and 60 are padded or cut to 40 rows, every row n = 6
+    # hold-last stats (ensemble_stats with a horizon): runs stopping at
+    # generations 36, 39, 48 and 60 are padded or cut to 40 rows, every row n = 6
     "npop11-horizon40": (
         ["--npop", "11", "--mutation", "0.005", "--elitism", "1", "--seeds", "6",
          "--base-seed", "3", "--max-gen", "60", "--horizon", "40"],
