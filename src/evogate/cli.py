@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, analysis, files
 from . import genome as genome_mod
 from . import tasks as tasks_mod
-from .ga import GAConfig, run as ga_run
+from .ga import TERMINATED_CONVERGED, GAConfig, run as ga_run
 from .genome import CodecConfig
 from .linalg import su2_closed_form
 
@@ -176,7 +176,7 @@ def _sweep_worker(ga_cfg, task, seed):
     try:
         return "ok", ga_run(ga_cfg, task, seed)
     except Exception as exc:  # recorded per run; the sweep continues
-        return "error", f"seed {seed}: {exc}"
+        return "error", (type(exc).__name__, str(exc))
 
 
 def _drain(claim, ga_cfg, task, seeds) -> dict:
@@ -196,7 +196,9 @@ def _child(writer, *drain_args) -> None:
 
 
 def run_many(ga_cfg, task, seeds, workers: int):
-    """Execute seeded runs; returns their ``(status, record)`` pairs in seed order.
+    """Execute seeded runs; returns their ``(status, record)`` pairs in seed
+    order.  A failed run's record is ``(exception type name, message)``; a
+    lost run's is ``(None, "worker process died")``.
 
     ``min(workers, len(seeds))`` processes, this one and forked children, take
     run indices from one shared counter; one means no pool.  Merged by index,
@@ -229,8 +231,7 @@ def run_many(ga_cfg, task, seeds, workers: int):
             with reader, suppress(EOFError, OSError):
                 done.update(reader.recv())
             proc.join()
-    return [done.get(i, ("error", f"seed {seed}: worker process died"))
-            for i, seed in enumerate(seeds)]
+    return [done.get(i, ("error", (None, "worker process died"))) for i in range(len(seeds))]
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -248,14 +249,15 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         f"run seed={record.seed}: {record.termination_reason} after {record.q_c} generations, "
         f"epsilon_opt = {record.epsilon_opt:.3e}"
     )
-    return EXIT_OK if record.termination_reason == "converged" else EXIT_FLAGGED
+    return EXIT_OK if record.termination_reason == TERMINATED_CONVERGED else EXIT_FLAGGED
 
 
 def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
     """Run ``cfg.seeds`` seeds from ``cfg.base_seed`` and write the runs,
     stats and (for qubit tasks) alpha-phi tables to ``cfg.out``, each name
-    led by ``prefix``.  A failed run gets an ``error`` row and a stderr
-    warning; returns the records of the runs that succeeded, in seed order."""
+    led by ``prefix``.  A failed or lost run gets an ``error`` row, a row in
+    a failures table and a stderr warning; returns the records of the runs
+    that succeeded, in seed order."""
     ga_cfg = make_ga_config(cfg, task)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
     results = run_many(ga_cfg, task, seeds, cfg.workers)
@@ -264,28 +266,30 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
     def path(name):
         return os.path.join(cfg.out, prefix + name)
 
-    rows, records = [], []
+    rows, records, alpha_phi, failures = [], [], [], []
     for i, (status, rec) in enumerate(results):
-        if status == "ok":
-            records.append(rec)
-            field = genome_mod.genome_to_field(rec.best_genome, cfg.depth)
-            rows.append((i, rec.seed, rec.q_c, rec.epsilon_opt, rec.best_fitness,
-                         rec.termination_reason, field))
-        else:
+        if status != "ok":
+            kind, message = rec
             rows.append((i, seeds[i], 0, math.nan, math.nan, "error", ""))
-            print(f"warning: {rec}", file=sys.stderr)
+            failures.append((i, seeds[i], f"{kind}: {message}" if kind else message))
+            print(f"warning: seed {seeds[i]}: {message}", file=sys.stderr)
+            continue
+        records.append(rec)
+        field = genome_mod.genome_to_field(rec.best_genome, cfg.depth)
+        rows.append((i, rec.seed, rec.q_c, rec.epsilon_opt, rec.best_fitness,
+                     rec.termination_reason, field))
+        if task.dim == 2:
+            params = genome_mod.decode(rec.best_genome, ga_cfg.codec)
+            ps = analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
+            alpha_phi.append((i, ps.alpha, ps.phi, rec.epsilon_opt))
     files.write_runs_csv(path("runs.csv"), rows, meta)
-
     if records:
         mean, std, counts = analysis.ensemble_stats(records, cfg.horizon)
         files.write_stats_csv(path("stats.csv"), range(1, len(mean) + 1), mean, std, counts, meta)
-        if task.dim == 2:
-            rows = []
-            for rec in records:
-                params = genome_mod.decode(rec.best_genome, ga_cfg.codec)
-                ps = analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
-                rows.append((rec.seed - cfg.base_seed, ps.alpha, ps.phi, rec.epsilon_opt))
-            files.write_alpha_phi_csv(path("alpha_phi.csv"), rows, meta)
+    if alpha_phi:
+        files.write_alpha_phi_csv(path("alpha_phi.csv"), alpha_phi, meta)
+    if failures:
+        files.write_failures_csv(path("failures.csv"), failures, meta)
     return records
 
 
@@ -338,7 +342,7 @@ def cmd_reproduce(cfg: ExperimentConfig, npops: list, figure: str) -> int:
             worst = EXIT_FLAGGED
         if figure != "fig7":
             continue
-        done = [r for r in records if r.termination_reason == "converged"]
+        done = [r for r in records if r.termination_reason == TERMINATED_CONVERGED]
         eps = np.array([r.epsilon_opt for r in done])
         q = np.array([r.q_c for r in done], dtype=float)
         try:

@@ -21,6 +21,7 @@ __all__ = [
     "parse_config_text",
     "read_points_csv",
     "write_alpha_phi_csv",
+    "write_failures_csv",
     "write_fit_csv",
     "write_genome_json",
     "write_json",
@@ -35,6 +36,7 @@ RUN_SUMMARY_HEADER = "run_id,seed,q_c,epsilon_opt,termination_reason,best_genome
 RUNS_HEADER = "run_id,seed,q_c,epsilon_opt,best_fitness,termination_reason,best_genome"
 STATS_HEADER = "generation,mean_fitness,std_fitness,n"
 ALPHA_PHI_HEADER = "run_id,alpha,phi,epsilon_opt"
+FAILURES_HEADER = "run_id,seed,error"
 FIT_HEADER = "a,b,c,a_err,b_err,c_err,rss,converged"
 
 
@@ -99,6 +101,13 @@ def write_stats_csv(path, generations, mean, std, counts, metadata: dict) -> Non
 
 def write_alpha_phi_csv(path, rows, metadata: dict) -> None:
     write_text(path, _csv(metadata, (ALPHA_PHI_HEADER, rows)))
+
+
+def write_failures_csv(path, rows, metadata: dict) -> None:
+    """The failed and lost runs of a sweep; ``error``, the last column, has
+    each newline written as ``\\n``."""
+    rows = [(run_id, seed, error.replace("\n", "\\n")) for run_id, seed, error in rows]
+    write_text(path, _csv(metadata, (FAILURES_HEADER, rows)))
 
 
 def write_fit_csv(path, fit, metadata: dict) -> None:

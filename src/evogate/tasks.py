@@ -13,9 +13,11 @@ takes the ``k``-th parameter vector; oracle slots look their matrix up in an
 oracle family keyed by the classical input label of each training pair.
 
 Stored fitness values are re-scored exactly, so every product that reaches
-a score or an output file is an ``np.einsum`` contraction.  Keep it so:
-numpy's complex ``*`` ufunc and ``@`` round differently from einsum on
-general complex matrices.  Keep the candidate axis last and contiguous in
+a score or an output file is an ``np.einsum`` contraction, and a score and
+a total operator take their slot products from one walk (:func:`_walk`)
+with two spellings, a trainable slot's and an oracle's.  Keep it so: numpy's
+complex ``*`` ufunc and ``@`` round differently from einsum on general
+complex matrices.  Keep the candidate axis last and contiguous in
 those contractions, too: einsum runs its inner loop over the last axis, and
 on a strided view it silently loops over the length-d state axis instead,
 about 4x slower at npop 100.
@@ -157,22 +159,20 @@ class TaskSpec:
         """Chromosomes per trainable slot: the ``dim**2 - 1`` rotation parameters."""
         return self.dim * self.dim - 1
 
-    @cached_property
-    def _circuit_plan(self) -> tuple:
-        """``(steps, targets)``: the circuit as :func:`population_fitness`
-        applies it to all pairs at once.
-
-        ``steps`` holds one entry per slot: a 0-based trainable index, or the
-        pairs' oracle matrices stacked as ``(n_pairs, d, d)``.  ``targets``
-        stacks the conjugated targets as ``(n_pairs, d)``.
-        """
-        labels = [label for label, _ in self.pairs]
-        steps = tuple(
+    def _steps(self, labels) -> tuple:
+        """One step per slot for :func:`_walk`: a 0-based trainable index, or
+        the oracle matrices of ``labels`` stacked as ``(n_labels, d, d)``."""
+        return tuple(
             s.index - 1 if isinstance(s, TrainableSlot)
             else _frozen_state([self.oracle_families[s.family][x] for x in labels])
             for s in self.slots
         )
-        return steps, _frozen_state([t.conj() for _, t in self.pairs])
+
+    @cached_property
+    def _circuit_plan(self) -> tuple:
+        """``(steps, targets)`` of the pairs: the targets conjugated, ``(n_pairs, d)``."""
+        labels = [label for label, _ in self.pairs]
+        return self._steps(labels), _frozen_state([t.conj() for _, t in self.pairs])
 
 
 def deutsch_oracle(name: str) -> np.ndarray:
@@ -214,13 +214,24 @@ def _trainable_unitaries(params: np.ndarray, dim: int) -> np.ndarray:
     return su2_closed_form(params) if dim == 2 else unitary_from_params(params, dim)
 
 
+def _walk(steps, unitaries, state) -> np.ndarray:
+    """``state``, shape ``(labels, d, ...)``, through ``steps`` in order;
+    ``unitaries[k]``, shape ``(d, d, ...)``, is trainable slot ``k``'s."""
+    for step in steps:
+        if isinstance(step, int):
+            state = np.einsum("ij...,pj...->pi...", unitaries[step], state)
+        else:
+            state = np.einsum("pij,pj...->pi...", step, state)
+    return state
+
+
 def compose_total(task: TaskSpec, params: np.ndarray, x: str) -> np.ndarray:
     """Total operator of the circuit for input label ``x`` and one candidate's
     decoded parameters, shape ``(n_slots, n_components)``.
 
     Trainable slot ``k`` takes row ``k - 1`` of ``params``; oracle slots
     look ``x`` up in their family table (``KeyError`` if it is not there).
-    Slots multiply right to left, first listed acting first on the state.
+    The identity walks the circuit, its columns as the batch axis.
     """
     params = np.asarray(params, dtype=float)
     if params.shape != (task.n_slots, task.n_components):
@@ -228,14 +239,7 @@ def compose_total(task: TaskSpec, params: np.ndarray, x: str) -> np.ndarray:
             f"params shape {params.shape} does not match {task.n_slots} trainable slots"
         )
     us = _trainable_unitaries(params, task.dim)
-    total = np.eye(task.dim, dtype=complex)
-    for slot in task.slots:
-        if isinstance(slot, TrainableSlot):
-            m = us[slot.index - 1]
-        else:
-            m = task.oracle_families[slot.family][x]
-        total = np.einsum("ij,jk->ik", m, total)
-    return total
+    return _walk(task._steps([x]), us, np.eye(task.dim, dtype=complex)[None])[0]
 
 
 def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
@@ -266,12 +270,7 @@ def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
     # (slots, d, d, batch): the candidates are einsum's inner loop
     us = np.ascontiguousarray(us.transpose(1, 2, 3, 0))
     steps, targets = task._circuit_plan
-    state = task.initial_state[None]  # a pair axis, length 1 until the first oracle
-    for step in steps:
-        if isinstance(step, int):
-            state = np.einsum("ij...,pj...->pi...", us[step], state)
-        else:
-            state = np.einsum("pij,pj...->pi...", step, state)
+    state = _walk(steps, us, task.initial_state[None])
     amp = np.einsum("pi,pi...->p...", targets, state)
     prob = amp.real**2 + amp.imag**2
     total = prob[0]

@@ -344,6 +344,9 @@ def test_sweep_outputs_and_worker_determinism(tmp_path):
     assert main(args + ["--out", str(out2), "--workers", "2"]) == 0
     for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
         assert read_bytes(out1 / name) == read_bytes(out2 / name), name
+    # a clean sweep writes no failures table
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2)) == [
+        "alpha_phi.csv", "runs.csv", "stats.csv"]
 
     meta, header, rows = read_table(out1 / "runs.csv")
     assert header == ["run_id", "seed", "q_c", "epsilon_opt", "best_fitness",
@@ -352,7 +355,7 @@ def test_sweep_outputs_and_worker_determinism(tmp_path):
     assert "workers" not in meta and "out" not in meta
 
     _, _, alpha_rows = read_table(out1 / "alpha_phi.csv")
-    assert len(alpha_rows) == 4
+    assert [r["run_id"] for r in alpha_rows] == ["0", "1", "2", "3"]
     for row in alpha_rows:
         assert 0.0 <= float(row["alpha"]) <= 1.0
         assert -math.pi < float(row["phi"]) <= math.pi
@@ -467,6 +470,10 @@ def test_a_dead_child_loses_only_its_own_runs(tmp_path, monkeypatch, capsys):
     assert f"warning: seed {lost}: worker process died" in capsys.readouterr().err
     _, _, alpha_rows = read_table(out / "alpha_phi.csv")
     assert len(alpha_rows) == 7
+    meta, header, failures = read_table(out / "failures.csv")
+    assert header == ["run_id", "seed", "error"] and meta["seeds"] == "8"
+    assert failures == [{"run_id": str(int(lost) - 1), "seed": lost,
+                         "error": "worker process died"}]
 
 
 @pytest.mark.parametrize("workers", [3, 4])
@@ -526,7 +533,7 @@ def test_a_child_killed_while_sending_loses_only_its_own_runs(monkeypatch):
     results = cli.run_many(None, None, range(40), 2)
     lost = [i for i, (status, _) in enumerate(results) if status == "error"]
     assert 0 < len(lost) < 40, results
-    assert all(results[i] == ("error", f"seed {i}: worker process died") for i in lost)
+    assert all(results[i] == ("error", (None, "worker process died")) for i in lost)
     assert all(results[i] == ("ok", i) for i in set(range(40)) - set(lost))
 
 
@@ -579,6 +586,25 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
     assert rows[1]["epsilon_opt"] == "nan"
     _, _, stats_rows = read_table(out / "stats.csv")
     assert stats_rows  # aggregates cover the surviving runs
+    meta, header, failures = read_table(out / "failures.csv")
+    assert header == ["run_id", "seed", "error"] and meta["npop"] == "12"
+    assert failures == [{"run_id": "1", "seed": "2", "error": "RuntimeError: forced failure"}]
+
+
+def test_failures_table_keeps_one_line_per_run(tmp_path, monkeypatch, capsys):
+    # a newline in a message is written as the two characters \n, so the
+    # error cell stays on its run's line; the warning keeps the message
+    def failing(ga_cfg, task, seed):
+        raise ValueError(f"seed {seed}\nis bad, really")
+
+    monkeypatch.setattr(cli, "ga_run", failing)
+    out = tmp_path / "o"
+    assert main(["reproduce", "fig6", "--npop", "12", "--seeds", "2", "--out", str(out)]) == 1
+    assert "warning: seed 1: seed 1\nis bad, really" in capsys.readouterr().err
+    lines = (out / "fig6_failures.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[-3:] == ["run_id,seed,error",
+                          "0,1,ValueError: seed 1\\nis bad, really",
+                          "1,2,ValueError: seed 2\\nis bad, really"]
 
 
 def test_sweep_all_failures_exits_nonzero(tmp_path, monkeypatch):

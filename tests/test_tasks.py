@@ -216,6 +216,31 @@ def test_compose_total_matches_manual_product():
         assert np.max(np.abs(compose_total(task, params, label) - expected)) <= 1e-14
 
 
+def test_compose_total_bytes_match_an_identity_seeded_product():
+    # the total, byte for byte, is the identity multiplied from the left by
+    # each slot's matrix in application order, one "ij,jk->ik" contraction each
+    from test_cli import _qutrit_task
+    from test_golden import GENERAL_TASK
+
+    general = tasks.task_from_dict(GENERAL_TASK)
+    qutrit = _qutrit_task()
+    cases = [(deutsch_task(), tasks.DEUTSCH_FUNCTIONS),
+             (general, [label for label, _ in general.pairs]),
+             (qutrit, [label for label, _ in qutrit.pairs])]
+    rng = np.random.default_rng(18)
+    for task, labels in cases:
+        for params in rng.uniform(-np.pi, np.pi, (200, task.n_slots, task.n_components)):
+            us = (linalg.su2_closed_form(params) if task.dim == 2
+                  else linalg.unitary_from_params(params, task.dim))
+            for x in labels:
+                expected = np.eye(task.dim, dtype=complex)
+                for slot in task.slots:
+                    m = (us[slot.index - 1] if isinstance(slot, TrainableSlot)
+                         else task.oracle_families[slot.family][x])
+                    expected = np.einsum("ij,jk->ik", m, expected)
+                assert compose_total(task, params, x).tobytes() == expected.tobytes()
+
+
 def test_compose_total_is_unitary():
     task = deutsch_task()
     for g in random_genomes(20, seed=6):
