@@ -6,7 +6,8 @@ fit of a results table), and ``reproduce`` (the canned figure-data
 pipelines).  Settings come from built-in defaults, then a figure's presets
 (``reproduce`` only), then an optional flat ``key = value`` config file, then
 command-line flags; the effective config is echoed to stdout and into every
-output file's metadata block.
+output file's metadata block.  Each output's columns are declared here, in the
+call that writes its rows; :mod:`evogate.files` holds only the byte format.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with flags
 (generation-cap stop, a sweep with a failed or lost run, or a fit that did
@@ -143,16 +144,15 @@ def _echo_config(cfg: ExperimentConfig, npops: list) -> None:
         print(f"{f.name} = {files.fmt(value)}")
 
 
-def _analysis_payload(record, task, codec, meta: dict) -> dict:
-    """The ``analysis_<seed>.json`` content of one run."""
+def _analysis_payload(record, task, codec, rounding_bound: float) -> dict:
+    """The ``analysis_<seed>.json`` content of one run, below its metadata."""
     payload = {
-        "metadata": {"version": __version__, **meta},
         "seed": record.seed,
         "q_c": record.q_c,
         "termination_reason": record.termination_reason,
         "best_fitness": record.best_fitness,
         "epsilon_opt": record.epsilon_opt,
-        "rounding_bound": meta["rounding_bound"],
+        "rounding_bound": rounding_bound,
     }
     if task.dim != 2:
         return payload
@@ -238,13 +238,21 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     task = resolve_task(cfg.task)
     ga_cfg = make_ga_config(cfg, task)
     record = ga_run(ga_cfg, task, cfg.base_seed)
-    meta = cfg.metadata(seed=record.seed,
-                        rounding_bound=genome_mod.rounding_error_bound(ga_cfg.codec, task))
-    files.write_run_csv(os.path.join(cfg.out, f"run_{record.seed}.csv"), record, cfg.depth, meta)
-    files.write_genome_json(os.path.join(cfg.out, f"genome_{record.seed}.json"),
-                            record.best_genome, cfg.depth, meta)
-    files.write_json(os.path.join(cfg.out, f"analysis_{record.seed}.json"),
-                     _analysis_payload(record, task, ga_cfg.codec, meta))
+    seed, bound = record.seed, genome_mod.rounding_error_bound(ga_cfg.codec, task)
+    meta = cfg.metadata(seed=seed, rounding_bound=bound)
+    generations = [(0, seed, g + 1, record.mean_fitness[g], record.fluctuation[g],
+                    record.best_fitness_series[g]) for g in range(record.q_c)]
+    summary = (0, seed, record.q_c, record.epsilon_opt, record.termination_reason,
+               genome_mod.genome_to_field(record.best_genome, cfg.depth))
+    # one generation per row, then a one-row summary section (run id 0)
+    files.write_csv(os.path.join(cfg.out, f"run_{seed}.csv"), meta,
+                    ("run_id,seed,generation,mean_fitness,fluctuation,best_fitness", generations),
+                    ("run_id,seed,q_c,epsilon_opt,termination_reason,best_genome", [summary]))
+    # bit strings as ordered lists, slot index then generator index
+    files.write_json(os.path.join(cfg.out, f"genome_{seed}.json"), meta,
+                     {"slots": genome_mod.genome_to_strings(record.best_genome, cfg.depth)})
+    files.write_json(os.path.join(cfg.out, f"analysis_{seed}.json"), meta,
+                     _analysis_payload(record, task, ga_cfg.codec, bound))
     print(
         f"run seed={record.seed}: {record.termination_reason} after {record.q_c} generations, "
         f"epsilon_opt = {record.epsilon_opt:.3e}"
@@ -271,7 +279,9 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
         if status != "ok":
             kind, message = rec
             rows.append((i, seeds[i], 0, math.nan, math.nan, "error", ""))
-            failures.append((i, seeds[i], f"{kind}: {message}" if kind else message))
+            error = f"{kind}: {message}" if kind else message
+            # each newline written as \n, so a failure stays one row
+            failures.append((i, seeds[i], error.replace("\n", "\\n")))
             print(f"warning: seed {seeds[i]}: {message}", file=sys.stderr)
             continue
         records.append(rec)
@@ -282,14 +292,17 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
             params = genome_mod.decode(rec.best_genome, ga_cfg.codec)
             ps = analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
             alpha_phi.append((i, ps.alpha, ps.phi, rec.epsilon_opt))
-    files.write_runs_csv(path("runs.csv"), rows, meta)
+    files.write_csv(path("runs.csv"), meta, (
+        "run_id,seed,q_c,epsilon_opt,best_fitness,termination_reason,best_genome", rows))
     if records:
         mean, std, counts = analysis.ensemble_stats(records, cfg.horizon)
-        files.write_stats_csv(path("stats.csv"), range(1, len(mean) + 1), mean, std, counts, meta)
+        files.write_csv(path("stats.csv"), meta, (
+            "generation,mean_fitness,std_fitness,n",
+            zip(range(1, len(mean) + 1), mean, std, counts)))
     if alpha_phi:
-        files.write_alpha_phi_csv(path("alpha_phi.csv"), alpha_phi, meta)
+        files.write_csv(path("alpha_phi.csv"), meta, ("run_id,alpha,phi,epsilon_opt", alpha_phi))
     if failures:
-        files.write_failures_csv(path("failures.csv"), failures, meta)
+        files.write_csv(path("failures.csv"), meta, ("run_id,seed,error", failures))
     return records
 
 
@@ -309,7 +322,9 @@ def _fit_step(cfg: ExperimentConfig, eps, q, bins: int, name: str, **source):
         eps, q = analysis.quantile_bins(eps, q, bins)
     fit = analysis.fit_exponential(eps, q)
     meta = cfg.metadata(bins=bins, n_points=len(eps), **source)
-    files.write_fit_csv(os.path.join(cfg.out, name), fit, meta)
+    files.write_csv(os.path.join(cfg.out, name), meta, (
+        "a,b,c,a_err,b_err,c_err,rss,converged",
+        [(fit.a, fit.b, fit.c, fit.a_err, fit.b_err, fit.c_err, fit.rss, fit.converged)]))
     return (fit, "converged" if fit.converged else "NOT converged",
             "identified" if fit.identified else "NOT identified")
 

@@ -1,43 +1,33 @@
-"""Result-file formats and the flat key=value config format.
+"""Byte format of the result files, and the readers of config and tables.
 
 All CSV output is byte-stable: comma separators, '.' decimals, floats at 17
-significant digits, LF line endings, one header row, and a leading metadata
-block of '# key = value' comment lines.  Writers go through a temp file and
-an atomic rename so consumers never see partial output.
+significant digits, LF line endings, and a leading metadata block of a
+'# evogate <version>' line and '# key = value' comment lines; each section
+of a table is one header row and its data rows.  A JSON file leads with the
+same block as its "metadata" object.  Writers go through a temp file and an
+atomic rename so consumers never see partial output, and a failed write
+leaves neither file behind.  Which columns a table has is declared where its
+rows are built (:mod:`evogate.cli`), not here.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 
 import numpy as np
 
 from . import __version__
-from . import genome as genome_mod
 
 __all__ = [
     "fmt",
     "parse_config_text",
     "read_points_csv",
-    "write_alpha_phi_csv",
-    "write_failures_csv",
-    "write_fit_csv",
-    "write_genome_json",
+    "write_csv",
     "write_json",
-    "write_run_csv",
-    "write_runs_csv",
-    "write_stats_csv",
     "write_text",
 ]
-
-RUN_HEADER = "run_id,seed,generation,mean_fitness,fluctuation,best_fitness"
-RUN_SUMMARY_HEADER = "run_id,seed,q_c,epsilon_opt,termination_reason,best_genome"
-RUNS_HEADER = "run_id,seed,q_c,epsilon_opt,best_fitness,termination_reason,best_genome"
-STATS_HEADER = "generation,mean_fitness,std_fitness,n"
-ALPHA_PHI_HEADER = "run_id,alpha,phi,epsilon_opt"
-FAILURES_HEADER = "run_id,seed,error"
-FIT_HEADER = "a,b,c,a_err,b_err,c_err,rss,converged"
 
 
 def fmt(value) -> str:
@@ -51,80 +41,39 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _metadata_lines(metadata: dict) -> list[str]:
-    lines = [f"# evogate {__version__}"]
-    for key, value in metadata.items():
-        lines.append(f"# {key} = {fmt(value)}")
-    return lines
-
-
 def write_text(path, text: str) -> None:
     """Write a file atomically (temp file in place, then rename), creating
-    its directory if need be."""
+    its directory if need be.  If the write or the rename raises, the temp
+    file is removed before the error propagates."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _csv(metadata: dict, *sections) -> str:
-    """The metadata block, then each ``(header, rows)`` section in turn."""
-    lines = _metadata_lines(metadata)
+def write_csv(path, metadata: dict, *sections) -> None:
+    """The metadata block, then each ``(header, rows)`` section in turn: the
+    header line as given, then one line of :func:`fmt` cells per row."""
+    lines = [f"# evogate {__version__}"]
+    lines.extend(f"# {key} = {fmt(value)}" for key, value in metadata.items())
     for header, rows in sections:
         lines.append(header)
         lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    write_text(path, "\n".join(lines) + "\n")
 
 
-def write_run_csv(path, record, depth: int, metadata: dict) -> None:
-    """One generation per row, then a one-row summary section (run id 0)."""
-    rows = [
-        (0, record.seed, g + 1, record.mean_fitness[g], record.fluctuation[g],
-         record.best_fitness_series[g])
-        for g in range(record.q_c)
-    ]
-    summary = (0, record.seed, record.q_c, record.epsilon_opt, record.termination_reason,
-               genome_mod.genome_to_field(record.best_genome, depth))
-    write_text(path, _csv(metadata, (RUN_HEADER, rows), (RUN_SUMMARY_HEADER, [summary])))
-
-
-def write_runs_csv(path, rows, metadata: dict) -> None:
-    """Per-run summary table for a sweep (failed runs carry reason 'error')."""
-    write_text(path, _csv(metadata, (RUNS_HEADER, rows)))
-
-
-def write_stats_csv(path, generations, mean, std, counts, metadata: dict) -> None:
-    rows = zip(generations, mean, std, counts)
-    write_text(path, _csv(metadata, (STATS_HEADER, rows)))
-
-
-def write_alpha_phi_csv(path, rows, metadata: dict) -> None:
-    write_text(path, _csv(metadata, (ALPHA_PHI_HEADER, rows)))
-
-
-def write_failures_csv(path, rows, metadata: dict) -> None:
-    """The failed and lost runs of a sweep; ``error``, the last column, has
-    each newline written as ``\\n``."""
-    rows = [(run_id, seed, error.replace("\n", "\\n")) for run_id, seed, error in rows]
-    write_text(path, _csv(metadata, (FAILURES_HEADER, rows)))
-
-
-def write_fit_csv(path, fit, metadata: dict) -> None:
-    row = (fit.a, fit.b, fit.c, fit.a_err, fit.b_err, fit.c_err, fit.rss, fit.converged)
-    write_text(path, _csv(metadata, (FIT_HEADER, [row])))
-
-
-def write_genome_json(path, codes: np.ndarray, depth: int, metadata: dict) -> None:
-    """Genome file: bit strings as ordered lists, slot index then generator index."""
-    write_json(path, {"metadata": {"version": __version__, **metadata},
-                      "slots": genome_mod.genome_to_strings(codes, depth)})
-
-
-def write_json(path, payload: dict) -> None:
-    """``payload`` as indented JSON; numpy arrays and scalars are written as
-    the lists and Python numbers their ``tolist()`` gives."""
-    write_text(path, json.dumps(payload, indent=2, default=lambda o: o.tolist()) + "\n")
+def write_json(path, metadata: dict, payload: dict) -> None:
+    """``{"metadata": {"version": ..., **metadata}, **payload}`` as indented
+    JSON; numpy arrays and scalars are written as the lists and Python
+    numbers their ``tolist()`` gives."""
+    document = {"metadata": {"version": __version__, **metadata}, **payload}
+    write_text(path, json.dumps(document, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 def read_points_csv(path):

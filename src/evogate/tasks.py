@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .files import write_text
 from .linalg import su2_closed_form, unitary_from_params
 
 __all__ = [
@@ -370,10 +371,8 @@ def _integer(value, key: str) -> int:
 
 
 def save_task(task: TaskSpec, path) -> None:
-    """Write a task description file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(task_to_dict(task), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a task description file, atomically like every file evogate writes."""
+    write_text(path, json.dumps(task_to_dict(task), indent=2, sort_keys=True) + "\n")
 
 
 def load_task(path) -> TaskSpec:

@@ -115,10 +115,11 @@ def test_config_value_of_the_wrong_type_fails(tmp_path, capsys):
     ["fit", "points.csv", "--bins", "0"],
     ["reproduce", "fig5", "--npop", "10", "--seeds", "3", "--max-gen", "30"],
     ["reproduce", "fig6", "--npop", "12", "--seeds", "3"],
-], ids=["run", "sweep", "fit", "fig5", "fig6"])
+    ["reproduce", "fig7", "--npop", "10", "--seeds", "20"],
+], ids=["run", "sweep", "fit", "fig5", "fig6", "fig7"])
 def test_config_echo_is_the_files_metadata(tmp_path, monkeypatch, capsys, command):
     # a figure's presets apply before the echo, so stdout tells what the
-    # files' metadata blocks say
+    # files' metadata blocks say, in the tables and the JSON files alike
     monkeypatch.chdir(tmp_path)
     Path("points.csv").write_text("epsilon,q\n" + "".join(
         f"{e},{20 * math.exp(-15 * e) + 9}\n" for e in (0.0, 0.03, 0.06, 0.1, 0.15, 0.2)))
@@ -132,6 +133,12 @@ def test_config_echo_is_the_files_metadata(tmp_path, monkeypatch, capsys, comman
         shared = echo.keys() & meta.keys()
         assert "seeds" in shared
         assert {k: meta[k] for k in shared} == {k: echo[k] for k in shared}, table.name
+    for doc in sorted(Path("out").glob("*.json")):
+        meta = json.loads(doc.read_text(encoding="utf-8"))["metadata"]
+        assert meta.pop("version") == evogate.__version__, doc.name
+        shared = echo.keys() & meta.keys()
+        assert "seeds" in shared
+        assert {k: files.fmt(meta[k]) for k in shared} == {k: echo[k] for k in shared}, doc.name
 
 
 def test_usage_error_exit_code():
@@ -838,6 +845,14 @@ def test_read_points_requires_known_columns(tmp_path):
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
         files.read_points_csv(bad)
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 form
+        files.write_text(path, "\udcff")
+    assert not path.exists()
+    assert not (tmp_path / "x.csv.tmp").exists()
 
 
 # ----------------------------------------------------------- import hygiene
