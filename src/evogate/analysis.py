@@ -9,6 +9,7 @@ on the kernel OpenBLAS picks for the CPU.  Tolerance checks may keep them.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,30 +179,25 @@ def ensemble_stats(records, horizon: int = 0):
     return mean, std, counts
 
 
+def _points(eps, q) -> tuple[np.ndarray, np.ndarray]:
+    """``(eps, q)`` as float arrays, checked to be 1-d and of equal length."""
+    eps, q = np.asarray(eps, dtype=float), np.asarray(q, dtype=float)
+    if eps.shape != q.shape or eps.ndim != 1:
+        raise ValueError("eps and q must be 1-d arrays of equal length")
+    return eps, q
+
+
 def quantile_bins(eps: np.ndarray, q: np.ndarray, n_bins: int = 20):
     """Bin (eps, q) points into equal-count bins by eps and return bin means.
 
     Bin sizes differ by at most one; empty bins (when ``n_bins`` exceeds the
     point count) are dropped.
     """
-    eps = np.asarray(eps, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if eps.shape != q.shape or eps.ndim != 1:
-        raise ValueError("eps and q must be 1-d arrays of equal length")
+    eps, q = _points(eps, q)
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    order = np.argsort(eps, kind="stable")
-    eps_out, q_out = [], []
-    for chunk in np.array_split(order, n_bins):
-        if chunk.size:
-            eps_out.append(eps[chunk].mean())
-            q_out.append(q[chunk].mean())
-    return np.array(eps_out), np.array(q_out)
-
-
-def _model(params: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    a, b, c = params
-    return a * np.exp(-b * eps) + c
+    chunks = [c for c in np.array_split(np.argsort(eps, kind="stable"), n_bins) if c.size]
+    return np.array([eps[c].mean() for c in chunks]), np.array([q[c].mean() for c in chunks])
 
 
 def fit_exponential(eps, q) -> FitResult:
@@ -212,14 +208,13 @@ def fit_exponential(eps, q) -> FitResult:
     at 1e-3, grows tenfold when a step increases the residual and shrinks
     tenfold when it decreases; iteration stops when the relative residual
     change drops below 1e-10 (or the residual hits the rounding floor).
-    Singular normal equations or hitting the iteration cap yield a flagged,
-    not raised, non-converged result.  Standard errors come from the
-    linearized covariance at the solution.
+    The start and each accepted point are linearized once: one decay, one
+    Jacobian and its normal equations serve every damped step from the
+    point and, at the solution, the standard errors.  A runaway trial step
+    is rejected silently, by its non-finite residual.  Singular normal
+    equations or the iteration cap yield a non-converged result, not an error.
     """
-    eps = np.asarray(eps, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if eps.shape != q.shape or eps.ndim != 1:
-        raise ValueError("eps and q must be 1-d arrays of equal length")
+    eps, q = _points(eps, q)
     if eps.size < 4:
         raise ValueError(f"need at least 4 points, got {eps.size}")
     if np.any(eps < 0):
@@ -232,8 +227,18 @@ def fit_exponential(eps, q) -> FitResult:
     slope, intercept = np.polyfit(eps, np.log(q - c0), 1)
     params = np.array([math.exp(intercept), -slope, c0])
 
-    r = q - _model(params, eps)
-    rss = float(r @ r)
+    def score(p):  # a runaway point scores a non-finite rss, with no float warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay = np.exp(-p[1] * eps)
+            r = q - (p[0] * decay + p[2])
+            return decay, r, float(r @ r)
+
+    def linearize(p, decay, r):  # the normal equations J^T J, J^T r at p
+        jac = np.column_stack([decay, -p[0] * eps * decay, np.ones_like(eps)])
+        return jac.T @ jac, jac.T @ r
+
+    decay, r, rss = score(params)
+    normal, grad = linearize(params, decay, r)
     floor = eps.size * (1e-13 * max(1.0, float(np.max(np.abs(q))))) ** 2
     lam = 1e-3
     converged = rss <= floor
@@ -241,42 +246,30 @@ def fit_exponential(eps, q) -> FitResult:
     singular = False
     while not converged and n_iter < FIT_MAX_ITER:
         n_iter += 1
-        decay = np.exp(-params[1] * eps)
-        jac = np.column_stack([decay, -params[0] * eps * decay, np.ones_like(eps)])
-        normal = jac.T @ jac
         damped = normal + lam * np.diag(np.diag(normal))
         try:
-            step = np.linalg.solve(damped, jac.T @ r)
+            step = np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError:
             singular = True
             break
         trial = params + step
-        r_trial = q - _model(trial, eps)
-        rss_trial = float(r_trial @ r_trial)
+        decay_trial, r_trial, rss_trial = score(trial)
         if not np.isfinite(rss_trial) or rss_trial > rss:
             lam *= 10.0
             continue
         rel_change = abs(rss - rss_trial) / max(rss, 1e-300)
-        params, r, rss = trial, r_trial, rss_trial
+        params, decay, r, rss = trial, decay_trial, r_trial, rss_trial
+        normal, grad = linearize(params, decay, r)
         lam /= 10.0
         if rel_change < 1e-10 or rss <= floor:
             converged = True
 
-    a, b, c = (float(v) for v in params)
     errs = (math.nan, math.nan, math.nan)
     if not singular:
-        decay = np.exp(-b * eps)
-        jac = np.column_stack([decay, -a * eps * decay, np.ones_like(eps)])
-        dof = eps.size - 3
-        try:
-            cov = rss / dof * np.linalg.inv(jac.T @ jac)
-            diag = np.diag(cov)
+        with suppress(np.linalg.LinAlgError):
+            diag = np.diag(rss / (eps.size - 3) * np.linalg.inv(normal))
             if np.all(diag >= 0):
                 errs = tuple(float(math.sqrt(v)) for v in diag)
-        except np.linalg.LinAlgError:
-            pass
-    return FitResult(
-        a=a, b=b, c=c,
-        a_err=errs[0], b_err=errs[1], c_err=errs[2],
-        rss=rss, converged=bool(converged), n_iter=n_iter,
-    )
+    a, b, c = (float(v) for v in params)
+    return FitResult(a=a, b=b, c=c, a_err=errs[0], b_err=errs[1], c_err=errs[2],
+                     rss=rss, converged=bool(converged), n_iter=n_iter)

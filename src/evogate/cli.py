@@ -96,7 +96,8 @@ def load_config(config_path, flag_values: dict, presets=None):
     and explicit CLI flags, each over the one before.
 
     Returns the effective config plus the set of keys a file or flag set.  A
-    value below its key's minimum in ``_INT_MINIMUMS`` raises ``ValueError``.
+    value below its key's minimum in ``_INT_MINIMUMS``, or a metadata value
+    that cannot be written as UTF-8, raises ``ValueError`` before any run.
     """
     cfg = ExperimentConfig(**(presets or {}))
     explicit = set()
@@ -116,6 +117,11 @@ def load_config(config_path, flag_values: dict, presets=None):
     for key, low in _INT_MINIMUMS.items():
         if getattr(cfg, key) < low:
             raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(cfg, key)}")
+    for key, value in cfg.metadata().items():
+        try:
+            files.fmt(value).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"config key {key!r} cannot be written as UTF-8") from None
     return cfg, explicit
 
 

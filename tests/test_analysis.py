@@ -249,6 +249,20 @@ def test_fit_flags_unidentifiable_data():
     assert not fit.identified
 
 
+def test_fit_rejects_a_runaway_step_without_a_float_warning():
+    # the 20-bin table of `sweep --npop 100 --seeds 20 --base-seed 3000281`:
+    # damped trial steps from its start overflow exp(-b * eps); the project's
+    # error::RuntimeWarning filter turns any such warning into a failure
+    eps = np.array([3.76e-08, 9.27e-07, 1.42e-06, 1.71e-06, 2.52e-06, 9.22e-06, 9.54e-06,
+                    1.16e-05, 2.91e-05, 2.98e-05, 6.09e-05, 8.44e-05, 9.92e-05, 0.000218,
+                    0.000272, 0.000563, 0.00124, 0.00222, 0.00344, 0.00448])
+    q = np.array([21, 25, 28, 24, 28, 20, 21, 18, 20, 18, 17, 26, 28, 23, 19, 19, 21, 23,
+                  22, 22], dtype=float)
+    fit = fit_exponential(eps, q)
+    assert not fit.identified
+    assert math.isfinite(fit.rss)
+
+
 def test_fit_identified():
     eps = np.linspace(0.0, 0.2, 25)
     clean = fit_exponential(eps, model(eps))

@@ -295,6 +295,28 @@ def test_workers_below_one_is_rejected(tmp_path, capsys, workers):
     assert "config key 'workers'" in capsys.readouterr().err
 
 
+def test_a_setting_that_cannot_be_written_fails_before_any_run(tmp_path, monkeypatch, capfd):
+    # the task path holds a lone surrogate, which has no UTF-8 form in the
+    # files' metadata: the sweep must stop before its first run, not after its last
+    # (capfd, not capsys: capsys's strict UTF-8 stdout would stop the echo first)
+    from evogate import tasks
+
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"t\xff.json")
+    tasks.save_task(tasks.deutsch_task(), name)
+    real_run, calls = cli.ga_run, []
+
+    def counting(*args):
+        calls.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(cli, "ga_run", counting)
+    assert main(["sweep", "--task", name, "--npop", "10", "--seeds", "3", "--out", "o"]) == 1
+    assert calls == []
+    assert "config key 'task' cannot be written as UTF-8" in capfd.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_horizon_is_rejected(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["sweep", "--seeds", "2", "--horizon", "-5", "--out", str(out)]) == 1
