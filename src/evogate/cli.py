@@ -96,8 +96,9 @@ def load_config(config_path, flag_values: dict, presets=None):
     and explicit CLI flags, each over the one before.
 
     Returns the effective config plus the set of keys a file or flag set.  A
-    value below its key's minimum in ``_INT_MINIMUMS``, or a metadata value
-    that cannot be written as UTF-8, raises ``ValueError`` before any run.
+    value below its key's minimum in ``_INT_MINIMUMS``, a horizon whose stats
+    table cannot fit in physical memory, or a metadata value that cannot be
+    written as UTF-8 raises ``ValueError`` before any run.
     """
     cfg = ExperimentConfig(**(presets or {}))
     explicit = set()
@@ -117,12 +118,27 @@ def load_config(config_path, flag_values: dict, presets=None):
     for key, low in _INT_MINIMUMS.items():
         if getattr(cfg, key) < low:
             raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(cfg, key)}")
+    # ensemble_stats holds about two seeds x horizon arrays of doubles at once,
+    # and the stats writer at most 300 bytes a generation (its lines and text);
+    # a host that does not report its physical memory (Windows) is not checked
+    table = (16 * cfg.seeds + 300) * cfg.horizon
+    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if table > memory:
+            raise ValueError(f"config key 'horizon': {cfg.seeds} seeds x {cfg.horizon} generations"
+                             f" need {table} bytes of stats, more than {memory} of physical memory")
     for key, value in cfg.metadata().items():
-        try:
-            files.fmt(value).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"config key {key!r} cannot be written as UTF-8") from None
+        _check_utf8(f"config key {key!r}", value)
     return cfg, explicit
+
+
+def _check_utf8(what: str, value) -> None:
+    """Raise ``ValueError`` naming ``what`` if ``value``, as a metadata line
+    writes it, has no UTF-8 form (a name holding a lone surrogate)."""
+    try:
+        files.fmt(value).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} cannot be written as UTF-8") from None
 
 
 def resolve_task(name: str) -> tasks_mod.TaskSpec:
@@ -338,9 +354,10 @@ def _fit_step(cfg: ExperimentConfig, eps, q, bins: int, name: str, **source):
 def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
     if bins < 0:
         raise ValueError(f"--bins must be >= 0, got {bins}")
+    source = os.path.basename(input_path)
+    _check_utf8(f"input name {source!r}", source)
     eps, q = files.read_points_csv(input_path)
-    fit, converged, identified = _fit_step(cfg, eps, q, bins, "fit.csv",
-                                           source=os.path.basename(input_path))
+    fit, converged, identified = _fit_step(cfg, eps, q, bins, "fit.csv", source=source)
     print(
         f"fit: {converged} after {fit.n_iter} iterations, {identified}: "
         f"a = {fit.a:.4g} +- {fit.a_err:.2g}, b = {fit.b:.4g} +- {fit.b_err:.2g}, "

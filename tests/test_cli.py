@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import evogate
-from evogate import cli, files, genome
+from evogate import cli, files, genome, tasks
 from evogate.cli import main
 
 
@@ -129,6 +129,9 @@ def test_config_echo_is_the_files_metadata(tmp_path, monkeypatch, capsys, comman
     tables = sorted(Path("out").glob("*.csv"))
     assert tables
     for table in tables:
+        # every table opens with the version line of the package that wrote it
+        assert table.read_text(encoding="utf-8").split("\n", 1)[0] == \
+            f"# evogate {evogate.__version__}", table.name
         meta, _, _ = read_table(table)
         shared = echo.keys() & meta.keys()
         assert "seeds" in shared
@@ -189,6 +192,14 @@ def test_run_writes_all_outputs(tmp_path):
     assert 0.0 <= side["prepared_state"]["alpha"] <= 1.0
     assert "orthogonality_defect" in side["decision"]
 
+    # the genome file alone, read at the run's depth and half-range, re-scores
+    # to the run's fitness exactly
+    meta = side["metadata"]
+    assert {len(s) for slot in payload["slots"] for s in slot} == {meta["depth"]}
+    codec = genome.CodecConfig(depth=meta["depth"], half_range=meta["half_range"])
+    params = genome.decode(genome.genome_from_strings(payload["slots"]), codec)
+    assert float(tasks.population_fitness(tasks.deutsch_task(), params)) == side["best_fitness"]
+
 
 def test_run_trivial_threshold_converges_immediately(tmp_path):
     out = tmp_path / "fast"
@@ -233,8 +244,6 @@ def test_run_rejects_half_range_whose_squares_overflow(tmp_path, capsys, half_ra
 
 
 def test_run_accepts_task_file(tmp_path):
-    from evogate import tasks
-
     task_path = tmp_path / "deutsch_copy.json"
     tasks.save_task(tasks.deutsch_task(), task_path)
     out = tmp_path / "fromfile"
@@ -259,8 +268,6 @@ NAN_KET = [[math.nan, 0.0], [0.0, 0.0]]
                {"kind": "trainable", "index": 2}]),
 ])
 def test_run_rejects_a_mistyped_task_file(tmp_path, field, value):
-    from evogate import tasks
-
     data = tasks.task_to_dict(tasks.deutsch_task())
     data[field] = value
     task_path = tmp_path / "bad.json"
@@ -299,8 +306,6 @@ def test_a_setting_that_cannot_be_written_fails_before_any_run(tmp_path, monkeyp
     # the task path holds a lone surrogate, which has no UTF-8 form in the
     # files' metadata: the sweep must stop before its first run, not after its last
     # (capfd, not capsys: capsys's strict UTF-8 stdout would stop the echo first)
-    from evogate import tasks
-
     monkeypatch.chdir(tmp_path)
     name = os.fsdecode(b"t\xff.json")
     tasks.save_task(tasks.deutsch_task(), name)
@@ -322,6 +327,40 @@ def test_negative_horizon_is_rejected(tmp_path, capsys):
     assert main(["sweep", "--seeds", "2", "--horizon", "-5", "--out", str(out)]) == 1
     assert "config key 'horizon' must be >= 0, got -5" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, pages", [
+    ("3", 256),      # 1 MB: far below the 48 MB that ensemble_stats alone holds
+    ("1", 25_000),   # 100 MB: above ensemble_stats' 16 MB, below what the writer holds
+])
+def test_a_horizon_whose_stats_exceed_memory_fails_before_any_run(tmp_path, monkeypatch, capsys,
+                                                                   seeds, pages):
+    # a 1e6-generation stats table on a small host: the sweep must stop
+    # before its first run, not in ensemble_stats or in the stats writer
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        raise RuntimeError("no run may start")
+
+    monkeypatch.setattr(cli, "ga_run", counting)
+    out = tmp_path / "o"
+    assert main(["sweep", "--seeds", seeds, "--horizon", "1000000", "--out", str(out)]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert f"error: config key 'horizon': {seeds} seeds x 1000000 generations" in err
+    assert not out.exists()
+
+
+def test_a_host_that_reports_no_memory_size_still_runs(tmp_path, monkeypatch):
+    # Windows has neither os.sysconf nor os.sysconf_names: the horizon bound
+    # is skipped there, and every other command works as before
+    monkeypatch.delattr(os, "sysconf", raising=False)
+    monkeypatch.delattr(os, "sysconf_names", raising=False)
+    assert main(["run", "--threshold", "1.0", "--npop", "10", "--horizon", "5",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command, seed", [("sweep", "-2"), ("run", "-1")])
@@ -392,8 +431,6 @@ def test_sweep_outputs_and_worker_determinism(tmp_path):
 
 def _qutrit_task():
     """A d = 3 task: two trainable slots around a phase oracle, three pairs."""
-    from evogate import tasks
-
     w = np.exp(2j * np.pi / 3)
     oracles = {x: np.diag([1, w**k, w ** (2 * k)]) for k, x in enumerate("abc")}
     targets = {x: np.eye(3)[k] for k, x in enumerate("abc")}
@@ -404,8 +441,6 @@ def _qutrit_task():
 
 def test_sweep_on_a_qutrit_task_file(tmp_path):
     # the genome shape of a d = 3 search comes from the task alone
-    from evogate import tasks
-
     task_path = tmp_path / "qutrit.json"
     tasks.save_task(_qutrit_task(), task_path)
     task = tasks.load_task(task_path)
@@ -740,6 +775,10 @@ def test_fit_reads_sweep_summaries(tmp_path):
     eps, q = files.read_points_csv(out / "runs.csv")
     assert eps.shape == q.shape == (6,)
     assert np.all(q >= 1)
+    # fit.csv names the table it fitted
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", str(out / "runs.csv"), "--bins", "0", "--out", str(fit_dir)]) in (0, 2)
+    assert "# source = runs.csv" in (fit_dir / "fit.csv").read_text().splitlines()
 
 
 def test_fit_rejects_a_short_row_and_joined_tables(tmp_path, capsys):
@@ -786,6 +825,18 @@ def test_fit_without_points_fails(tmp_path, capsys, text, message):
     assert main(["fit", str(src), "--out", str(out)]) == 1
     assert f"{src}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_input_whose_name_cannot_be_written_fails_before_the_fit(tmp_path, monkeypatch,
+                                                                     capfd):
+    # the input's name goes into fit.csv's metadata as `source`; a lone
+    # surrogate there has no UTF-8 form, so the fit must not start
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"r\xff.csv")
+    write_points(Path(name), np.linspace(0.0, 0.2, 30), np.linspace(30.0, 15.0, 30))
+    assert main(["fit", name, "--bins", "0", "--out", "o"]) == 1
+    assert f"error: input name {name!r} cannot be written as UTF-8" in capfd.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------------- reproduce
