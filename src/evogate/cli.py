@@ -222,12 +222,14 @@ def run_many(ga_cfg, task, seeds, workers: int):
     order.  A failed run's record is ``(exception type name, message)``; a
     lost run's is ``(None, "worker process died")``.
 
-    ``min(workers, len(seeds))`` processes, this one and forked children, take
-    run indices from one shared counter; one means no pool.  Merged by index,
-    the outcome does not depend on the worker count.  A dead child costs only
-    its own runs, and no child outlives the call.
+    ``min(workers, len(seeds), CPUs this process may use)`` processes, this
+    one and forked children, take run indices from one shared counter; one
+    means no pool.  Merged by index, the outcome does not depend on the worker
+    count.  A dead child costs only its own runs, and no child outlives the
+    call.
     """
-    workers = min(workers, len(seeds))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(seeds), cpus or 1)
     if workers == 1:
         return [_sweep_worker(ga_cfg, task, s) for s in seeds]
     # imported in the parent before the first fork, so serial commands never

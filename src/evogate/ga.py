@@ -173,26 +173,21 @@ def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
     Each pair is a first rank and a second rank redrawn until it differs
     from the first, one double per rank draw.  Draws come in blocks of the
     fewest doubles the remaining pairs still need, so the stream ends where
-    drawing the ranks one at a time would leave it.
+    drawing the ranks one at a time would leave it.  Each block is walked
+    once.
     """
-    bounds = _rank_bounds(n_pop)
-    ranks = np.searchsorted(bounds, rng.random(2 * n_pairs), side="right")
-    block = ranks.reshape(n_pairs, 2)
-    if (block[:, 0] != block[:, 1]).all():
-        return block  # no second rank to redraw: the ranks pair up in order
+    bounds, need = _rank_bounds(n_pop), 2 * n_pairs
     flat = []  # ranks of the pairs made so far, first and second alternating
     first = None
-    while True:
-        for rank in ranks.tolist():
+    while need:
+        for rank in np.searchsorted(bounds, rng.random(need), side="right").tolist():
             if first is None:
                 first = rank
             elif rank != first:
                 flat += (first, rank)
                 first = None
         need = 2 * n_pairs - len(flat) - (first is not None)
-        if not need:
-            return np.array(flat, dtype=np.intp).reshape(n_pairs, 2)
-        ranks = np.searchsorted(bounds, rng.random(need), side="right")
+    return np.array(flat, dtype=np.intp).reshape(n_pairs, 2)
 
 
 def fitness_fluctuation(fitness: np.ndarray, mean: float) -> float:

@@ -460,7 +460,13 @@ def test_sweep_on_a_qutrit_task_file(tmp_path):
     assert not (out / "alpha_phi.csv").exists()
 
 
+def _usable_cpus(monkeypatch, n):
+    """Let this process use ``n`` CPUs, as the pool counts them, on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 4)  # so that 3 workers fork 2 children on a 2-CPU host
     forks, real_fork = [], os.fork
 
     def counting_fork():
@@ -488,6 +494,15 @@ def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
         serial = sweep(seeds, 1)
         for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
             assert read_bytes(out / name) == read_bytes(serial / name), (seeds, name)
+    # and at the CPUs this process may use: 8 workers on 2 CPUs fork one child
+    _usable_cpus(monkeypatch, 2)
+    del forks[:]
+    capped = ["sweep", "--npop", "4", "--seeds", "8"]
+    assert main(capped + ["--workers", "8", "--out", str(tmp_path / "c8")]) == 0
+    assert len(forks) == 1
+    assert main(capped + ["--workers", "1", "--out", str(tmp_path / "c1")]) == 0
+    for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
+        assert read_bytes(tmp_path / "c8" / name) == read_bytes(tmp_path / "c1" / name), name
 
 
 def test_every_process_claims_and_each_run_index_runs_once(tmp_path, monkeypatch):
@@ -504,6 +519,7 @@ def test_every_process_claims_and_each_run_index_runs_once(tmp_path, monkeypatch
         return seed, os.getpid()
 
     monkeypatch.setattr(cli, "ga_run", whose)
+    _usable_cpus(monkeypatch, 4)
     results = cli.run_many(None, None, range(2000), 3)
     assert all(status == "ok" for status, _ in results)
     assert [seed for _, (seed, _) in results] == list(range(2000))
@@ -566,6 +582,7 @@ def test_a_dead_child_spares_its_siblings(tmp_path, monkeypatch, capsys, workers
         os._exit(70)
 
     monkeypatch.setattr(cli, "ga_run", fragile)
+    _usable_cpus(monkeypatch, 4)
     out = tmp_path / "o"
     assert main(["sweep", "--npop", "10", "--seeds", "16", "--workers", str(workers),
                  "--out", str(out)]) == 2

@@ -154,7 +154,7 @@ def _reference_evaluate(bits):
     return bits[order], fitness[order]
 
 
-@pytest.mark.parametrize("n_pop", [2, 3, 10, 100, 401])
+@pytest.mark.parametrize("n_pop", [2, 3, 10, 11, 100, 400, 401])
 def test_select_parents_matches_per_pair_reference(n_pop):
     probs = ga.selection_probabilities(n_pop)
     for n_pairs in (0, 1, 2, 5, 37, 200):
