@@ -9,7 +9,7 @@ we inspect what kind of circuit it found.
 
 import numpy as np
 
-from evogate import analysis, genome, linalg, tasks
+from evogate import analysis, genome, tasks
 from evogate.ga import GAConfig, run
 from evogate.genome import CodecConfig
 
@@ -26,11 +26,11 @@ for g in range(0, record.q_c, max(1, record.q_c // 10)):
     print(f"{g + 1:10d}  {record.mean_fitness[g]:.6f}      {record.fluctuation[g]:.6f}     "
           f"{record.best_fitness_series[g]:.6f}")
 
-# what did it find?  decode the winning genome's integer codes and look at
-# the geometry
+# what did it find?  decode the winning genome's integer codes and build its
+# unitaries as the search scored them, then look at the geometry
 print(f"\nbest genome, one code per rotation parameter: {record.best_genome.tolist()}")
 params = genome.decode(record.best_genome, codec)
-u_first, u_last = linalg.su2_closed_form(params)
+u_first, u_last = tasks.trainable_unitaries(task, params)
 print("\nthe two evolved unitaries, as Bloch rotations:")
 for name, u in (("first", u_first), ("last", u_last)):
     b = analysis.bloch_decompose(u)

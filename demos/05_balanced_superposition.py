@@ -10,7 +10,7 @@ version: ``evogate reproduce fig6``.)
 
 import numpy as np
 
-from evogate import analysis, genome, linalg, tasks
+from evogate import analysis, genome, tasks
 from evogate.ga import GAConfig, run
 from evogate.genome import CodecConfig
 
@@ -26,9 +26,8 @@ for seed in range(1, SEEDS + 1):
     if record.termination_reason != "converged" or record.epsilon_opt >= 1e-3:
         continue
     params = genome.decode(record.best_genome, codec)  # the best genome's codes
-    states.append(
-        analysis.prepared_state(linalg.su2_closed_form(params[0]), task.initial_state)
-    )
+    u_first = tasks.trainable_unitaries(task, params)[0]  # as the search scored it
+    states.append(analysis.prepared_state(u_first, task.initial_state))
 
 alphas = np.array([s.alpha for s in states])
 phis = np.array([s.phi for s in states])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import generator_stack
+from .linalg import check_state, check_unitary, generator_stack
 
 __all__ = [
     "BlochDecomposition",
@@ -87,22 +87,13 @@ class FitResult:
                 and self.b_err < self.b)
 
 
-def _check_unitary_2x2(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:  # NaN fails too
-        raise ValueError("matrix is not unitary within tolerance")
-    return u
-
-
 def bloch_decompose(u: np.ndarray) -> BlochDecomposition:
     """Rotation angle and axis of a 2x2 unitary, ignoring global phase.
 
     The phase is stripped with the principal square root of the determinant;
     the angle is folded into [0, pi] with the axis sign absorbing the rest.
     """
-    u = _check_unitary_2x2(u)
+    u = check_unitary(u, 2)
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     su = u / np.sqrt(det)
     cos_t = min(1.0, max(-1.0, float((su[0, 0] + su[1, 1]).real) / 2.0))
@@ -124,11 +115,7 @@ def bloch_decompose(u: np.ndarray) -> BlochDecomposition:
 
 def prepared_state(u1: np.ndarray, psi_in: np.ndarray) -> PreparedState:
     """Polar form of the state the first unitary prepares from ``psi_in``."""
-    u1 = _check_unitary_2x2(u1)
-    psi = np.asarray(psi_in, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError(f"expected a qubit state, got shape {psi.shape}")
-    s = np.einsum("ij,j->i", u1, psi)
+    s = np.einsum("ij,j->i", check_unitary(u1, 2), check_state(psi_in, 2))
     a0 = abs(s[0])
     a1 = abs(s[1])
     alpha = min(a0, 1.0)

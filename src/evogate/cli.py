@@ -30,11 +30,12 @@ from . import genome as genome_mod
 from . import tasks as tasks_mod
 from .ga import TERMINATED_CONVERGED, GAConfig, run as ga_run
 from .genome import CodecConfig
-from .linalg import su2_closed_form
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 2
+
+CLAIM_TIMEOUT = 10.0  # seconds to wait for the run counter's lock before "no run left"
 
 # lower bounds of the integer keys that no library config checks
 _INT_MINIMUMS = {"seeds": 1, "base_seed": 0, "horizon": 0, "workers": 1}
@@ -168,29 +169,19 @@ def _echo_config(cfg: ExperimentConfig, npops: list) -> None:
 
 def _analysis_payload(record, task, codec, rounding_bound: float) -> dict:
     """The ``analysis_<seed>.json`` content of one run, below its metadata."""
-    payload = {
-        "seed": record.seed,
-        "q_c": record.q_c,
-        "termination_reason": record.termination_reason,
-        "best_fitness": record.best_fitness,
-        "epsilon_opt": record.epsilon_opt,
-        "rounding_bound": rounding_bound,
-    }
+    keys = ("seed", "q_c", "termination_reason", "best_fitness", "epsilon_opt")
+    payload = {**{k: getattr(record, k) for k in keys}, "rounding_bound": rounding_bound}
     if task.dim != 2:
         return payload
     params = genome_mod.decode(record.best_genome, codec)
-    unitaries = su2_closed_form(params)
+    unitaries = tasks_mod.trainable_unitaries(task, params)
     payload["rotations"] = [asdict(analysis.bloch_decompose(u)) for u in unitaries]
     payload["prepared_state"] = asdict(analysis.prepared_state(unitaries[0], task.initial_state))
     if len(task.pairs) == 2:
         outs = [np.einsum("ij,j->i", tasks_mod.compose_total(task, params, label),
                           task.initial_state) for label, _ in task.pairs]
-        ok_const, ok_balanced, defect = tasks_mod.decision_outcome(outs[0], outs[1])
-        payload["decision"] = {
-            "success_constant": ok_const,
-            "success_balanced": ok_balanced,
-            "orthogonality_defect": defect,
-        }
+        keys = ("success_constant", "success_balanced", "orthogonality_defect")
+        payload["decision"] = dict(zip(keys, tasks_mod.decision_outcome(*outs)))
     return payload
 
 
@@ -201,16 +192,25 @@ def _sweep_worker(ga_cfg, task, seed):
         return "error", (type(exc).__name__, str(exc))
 
 
+def _claim(claim, n: int, stop: bool = False) -> int:
+    """The next of ``n`` run indices from the counter ``claim`` (with ``stop`` it
+    hands out no more), or ``n`` if none is left or a dead process holds the lock."""
+    if not claim.get_lock().acquire(timeout=CLAIM_TIMEOUT):
+        return n
+    try:
+        i = claim.value
+        claim.value = n if stop else min(i + 1, n)
+    finally:
+        claim.get_lock().release()
+    return i
+
+
 def _drain(claim, ga_cfg, task, seeds) -> dict:
     """Run the indices of ``seeds`` that ``claim`` hands out until none is left."""
     done = {}
-    while True:
-        with claim.get_lock():
-            i = claim.value
-            claim.value = min(i + 1, len(seeds))
-        if i == len(seeds):
-            return done
+    while (i := _claim(claim, len(seeds))) < len(seeds):
         done[i] = _sweep_worker(ga_cfg, task, seeds[i])
+    return done
 
 
 def _child(writer, *drain_args) -> None:
@@ -226,7 +226,8 @@ def run_many(ga_cfg, task, seeds, workers: int):
     one and forked children, take run indices from one shared counter; one
     means no pool.  Merged by index, the outcome does not depend on the worker
     count.  A dead child costs only its own runs, and no child outlives the
-    call.
+    call; if it died holding the counter's lock, this process runs the indices
+    nobody claimed once the children are gone.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(seeds), cpus or 1)
@@ -248,13 +249,19 @@ def run_many(ga_cfg, task, seeds, workers: int):
             writer.close()  # before the next fork, so only this child holds the write end
             children.append((proc, reader))
         done.update(_drain(claim, ga_cfg, task, seeds))
-    finally:  # if this drain raised, children stop after their current run
-        claim.value = len(seeds)
+    except BaseException:  # children stop after their current run
+        _claim(claim, len(seeds), stop=True)
+        raise
+    finally:
         for proc, reader in children:  # read first: a large map blocks the child in send
             # end of file, also inside a message: the child died, its runs are lost
             with reader, suppress(EOFError, OSError):
                 done.update(reader.recv())
             proc.join()
+    # the children are gone, so the counter is read without its lock, which a
+    # child that died holding it keeps; what nobody claimed runs here
+    for i in range(claim.get_obj().value, len(seeds)):
+        done[i] = _sweep_worker(ga_cfg, task, seeds[i])
     return [done.get(i, ("error", (None, "worker process died"))) for i in range(len(seeds))]
 
 
@@ -314,7 +321,8 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
                      rec.termination_reason, field))
         if task.dim == 2:
             params = genome_mod.decode(rec.best_genome, ga_cfg.codec)
-            ps = analysis.prepared_state(su2_closed_form(params[0]), task.initial_state)
+            u1 = tasks_mod.trainable_unitaries(task, params)[0]
+            ps = analysis.prepared_state(u1, task.initial_state)
             alpha_phi.append((i, ps.alpha, ps.phi, rec.epsilon_opt))
     files.write_csv(path("runs.csv"), meta, (
         "run_id,seed,q_c,epsilon_opt,best_fitness,termination_reason,best_genome", rows))

@@ -21,12 +21,38 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "check_state",
+    "check_unitary",
     "generator_stack",
     "su2_closed_form",
     "unitary_from_params",
 ]
 
 _EPS = np.finfo(float).eps
+UNITARY_TOL = 1e-12  # the largest max|m^dagger m - I| of a matrix taken as unitary
+NORM_TOL = 1e-10  # the largest |norm - 1| of a vector taken as a state
+
+
+def check_unitary(m, d: int, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array, if it is ``(d, d)`` and ``max|m^dagger m - I|
+    <= UNITARY_TOL``; else ``ValueError`` naming ``what``.  NaN fails."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (d, d):
+        raise ValueError(f"{what} must be {d}x{d}, got shape {m.shape}")
+    if not np.max(np.abs(m.conj().T @ m - np.eye(d))) <= UNITARY_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not unitary")
+    return m
+
+
+def check_state(v, d: int, what: str = "state") -> np.ndarray:
+    """``v`` as a complex array, if it is ``(d,)`` with a norm within
+    ``NORM_TOL`` of 1; else ``ValueError`` naming ``what``.  NaN fails."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (d,):
+        raise ValueError(f"{what} must have shape ({d},), got {v.shape}")
+    if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:  # NaN fails too
+        raise ValueError(f"{what} must be normalized")
+    return v
 
 
 @lru_cache(maxsize=None)

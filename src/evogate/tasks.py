@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .files import write_text
-from .linalg import su2_closed_form, unitary_from_params
+from .linalg import check_state, check_unitary, su2_closed_form, unitary_from_params
 
 __all__ = [
     "OracleSlot",
@@ -47,9 +47,9 @@ __all__ = [
     "save_task",
     "task_from_dict",
     "task_to_dict",
+    "trainable_unitaries",
 ]
 
-UNITARY_TOL = 1e-12
 SLOT_ORDER_CONVENTION = "rightmost-acts-first"
 
 # the one-bit Boolean functions as (f(0), f(1)): two constant, two balanced
@@ -74,16 +74,6 @@ class OracleSlot:
 def _frozen_state(v) -> np.ndarray:
     arr = np.array(v, dtype=complex)
     arr.flags.writeable = False
-    return arr
-
-
-def _checked_state(v, d: int, what: str) -> np.ndarray:
-    """``v`` as a frozen complex state of shape ``(d,)`` and unit norm."""
-    arr = _frozen_state(v)
-    if arr.shape != (d,):
-        raise ValueError(f"{what} must have shape ({d},), got {arr.shape}")
-    if not abs(np.linalg.norm(arr) - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError(f"{what} must be normalized")
     return arr
 
 
@@ -118,37 +108,26 @@ class TaskSpec:
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError(f"trainable indices must be 1..n without gaps, got {indices}")
 
-        init = _checked_state(self.initial_state, d, "initial state")
+        init = check_state(_frozen_state(self.initial_state), d, "initial state")
         object.__setattr__(self, "initial_state", init)
-        pairs = [(str(label), _checked_state(target, d, f"target for {label!r}"))
+        pairs = [(str(label), check_state(_frozen_state(target), d, f"target for {label!r}"))
                  for label, target in self.pairs]
         if not pairs:
             raise ValueError("task needs at least one input-target pair")
         object.__setattr__(self, "pairs", tuple(pairs))
 
-        families = {}
-        for fam, table in self.oracle_families.items():
-            entries = {}
-            for label, mat in table.items():
-                m = _frozen_state(mat)
-                if m.shape != (d, d):
-                    raise ValueError(f"oracle {fam!r}/{label!r} must be {d}x{d}")
-                if not np.max(np.abs(m.conj().T @ m - np.eye(d))) <= UNITARY_TOL:
-                    raise ValueError(f"oracle {fam!r}/{label!r} is not unitary")
-                entries[str(label)] = m
-            families[str(fam)] = entries
+        families = {
+            str(fam): {str(label): check_unitary(_frozen_state(m), d, f"oracle {fam!r}/{label!r}")
+                       for label, m in table.items()}
+            for fam, table in self.oracle_families.items()}
         object.__setattr__(self, "oracle_families", families)
 
-        for slot in self.slots:
-            if isinstance(slot, OracleSlot):
-                table = families.get(slot.family)
-                if table is None:
-                    raise ValueError(f"no oracle family named {slot.family!r}")
-                for label, _ in pairs:
-                    if label not in table:
-                        raise ValueError(
-                            f"oracle family {slot.family!r} cannot resolve label {label!r}"
-                        )
+        for fam in (s.family for s in self.slots if isinstance(s, OracleSlot)):
+            if fam not in families:
+                raise ValueError(f"no oracle family named {fam!r}")
+            missing = [label for label, _ in pairs if label not in families[fam]]
+            if missing:
+                raise ValueError(f"oracle family {fam!r} cannot resolve label {missing[0]!r}")
 
     @cached_property
     def n_slots(self) -> int:
@@ -211,8 +190,16 @@ def deutsch_task() -> TaskSpec:
     )
 
 
-def _trainable_unitaries(params: np.ndarray, dim: int) -> np.ndarray:
-    return su2_closed_form(params) if dim == 2 else unitary_from_params(params, dim)
+def trainable_unitaries(task: TaskSpec, params: np.ndarray) -> np.ndarray:
+    """The trainable slots' unitaries, ``(..., n_slots, d, d)``, of decoded
+    parameters ``(..., n_slots, n_components)``: the one builder that the
+    search scores and the analysis reads.  A qubit task takes the closed form
+    :func:`~evogate.linalg.su2_closed_form`, any other the eigendecomposition."""
+    params = np.asarray(params, dtype=float)
+    shape = (task.n_slots, task.n_components)
+    if params.shape[-2:] != shape:
+        raise ValueError(f"params must end in shape {shape}, got {params.shape[-2:]}")
+    return su2_closed_form(params) if task.dim == 2 else unitary_from_params(params, task.dim)
 
 
 def _walk(steps, unitaries, state) -> np.ndarray:
@@ -234,12 +221,9 @@ def compose_total(task: TaskSpec, params: np.ndarray, x: str) -> np.ndarray:
     look ``x`` up in their family table (``KeyError`` if it is not there).
     The identity walks the circuit, its columns as the batch axis.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (task.n_slots, task.n_components):
-        raise ValueError(
-            f"params shape {params.shape} does not match {task.n_slots} trainable slots"
-        )
-    us = _trainable_unitaries(params, task.dim)
+    us = trainable_unitaries(task, params)
+    if us.ndim != 3:
+        raise ValueError(f"expected one candidate's params, got {us.ndim - 3} batch axes")
     return _walk(task._steps([x]), us, np.eye(task.dim, dtype=complex)[None])[0]
 
 
@@ -261,15 +245,10 @@ def population_fitness(task: TaskSpec, params: np.ndarray) -> np.ndarray:
     ``np.einsum``: the complex ``*`` ufunc and ``@`` agree with it on
     Deutsch's +-1 diagonal oracles, not in general.
     """
-    params = np.asarray(params, dtype=float)
-    d = task.dim
-    shape = (task.n_slots, task.n_components)
-    if params.shape[-2:] != shape:
-        raise ValueError(f"params must end in shape {shape}, got {params.shape[-2:]}")
-    lead = params.shape[:-2]
-    us = _trainable_unitaries(params.reshape((-1,) + params.shape[-2:]), d)
+    us = trainable_unitaries(task, params)
+    lead = us.shape[:-3]
     # (slots, d, d, batch): the candidates are einsum's inner loop
-    us = np.ascontiguousarray(us.transpose(1, 2, 3, 0))
+    us = np.ascontiguousarray(us.reshape((-1,) + us.shape[-3:]).transpose(1, 2, 3, 0))
     steps, targets = task._circuit_plan
     state = _walk(steps, us, task.initial_state[None])
     amp = np.einsum("pi,pi...->p...", targets, state)

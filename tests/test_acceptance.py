@@ -89,9 +89,8 @@ def test_criterion_2_balanced_superposition(ensemble_npop100):
         states = []
         for r in selected:
             params = genome.decode(r.best_genome, CODEC)
-            states.append(
-                analysis.prepared_state(linalg.su2_closed_form(params[0]), TASK.initial_state)
-            )
+            u1 = tasks.trainable_unitaries(TASK, params)[0]
+            states.append(analysis.prepared_state(u1, TASK.initial_state))
         alphas = np.array([s.alpha for s in states])
         assert abs(alphas.mean() - ROOT2) <= 0.01, f"alpha mean {alphas.mean():.4f}"
         for s in states:

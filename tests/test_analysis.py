@@ -88,7 +88,24 @@ def test_nan_matrix_is_not_unitary():
         prepared_state(u, KET0)
 
 
+def test_analysis_takes_the_task_unitarity_tolerance():
+    # a defect between 1e-12 (a task's oracles) and 1e-10 passed here once
+    u = HADAMARD * (1.0 + 1e-11)
+    assert 1e-12 < np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
+    with pytest.raises(ValueError, match="not unitary"):
+        bloch_decompose(u)
+    with pytest.raises(ValueError, match="not unitary"):
+        prepared_state(u, KET0)
+
+
 # ------------------------------------------------------------ prepared state
+
+@pytest.mark.parametrize("psi", [[2.0, 0.0], [0.6, 0.6], [math.nan, 0.0]])
+def test_prepared_state_rejects_a_state_that_is_not_normalized(psi):
+    # these once came back as alpha = 1, 0.6 and nan, with no error
+    with pytest.raises(ValueError, match="must be normalized"):
+        prepared_state(np.eye(2), np.array(psi))
+
 
 def test_prepared_state_identity_is_degenerate():
     ps = prepared_state(np.eye(2), KET0)

@@ -618,6 +618,80 @@ def test_a_child_killed_while_sending_loses_only_its_own_runs(monkeypatch):
     assert all(results[i] == ("ok", i) for i in set(range(40)) - set(lost))
 
 
+def test_a_child_that_dies_holding_the_counter_lock_stalls_nobody(tmp_path):
+    # Three processes, 20 ms a run.  The first child to reach its second run
+    # claims it, waits until the parent has finished a run (which the parent
+    # finishes only then), and exits holding the run counter's lock while
+    # most runs are still unclaimed.  The other two must give up waiting for
+    # the lock, and the parent must run what nobody claimed: only the dead
+    # child's two runs are lost.  In a fresh process, so that a wait without
+    # end fails this test by its timeout instead of hanging it.
+    script = textwrap.dedent("""
+        import os, sys, time
+        from evogate import cli
+        out, tmp = sys.argv[1], sys.argv[2]
+        real_run, real_child, me = cli.ga_run, cli._child, os.getpid()
+        held, mine = [], []
+
+        def wait_for(name):
+            while not os.path.exists(os.path.join(tmp, name)):
+                time.sleep(0.002)
+
+        def child(writer, claim, *drain_args):
+            held.append(claim.get_lock())
+            real_child(writer, claim, *drain_args)
+
+        def fragile(ga_cfg, task, seed):
+            time.sleep(0.02)
+            if os.getpid() == me:
+                wait_for("dies")
+            elif mine:
+                try:
+                    os.close(os.open(os.path.join(tmp, "dies"),
+                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:  # the surviving child
+                    pass
+                else:
+                    wait_for("ran")
+                    with open(os.path.join(tmp, "lost"), "w") as fh:
+                        fh.write(f"{mine[0]} {seed}")
+                    held[0].acquire()
+                    os._exit(70)
+            mine.append(seed)
+            record = real_run(ga_cfg, task, seed)
+            if os.getpid() == me:
+                open(os.path.join(tmp, "ran"), "a").close()
+            return record
+
+        os.sched_getaffinity = lambda pid: set(range(4))
+        cli._child, cli.ga_run, cli.CLAIM_TIMEOUT = child, fragile, 0.5
+        sys.exit(cli.main(["sweep", "--npop", "10", "--seeds", "24", "--workers", "3",
+                           "--out", out]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(evogate.__file__).parents[1])}
+    out, serial = tmp_path / "o", tmp_path / "serial"
+    proc = subprocess.run([sys.executable, "-c", script, str(out), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    lost = (tmp_path / "lost").read_text().split()
+    assert len(lost) == 2
+    for seed in lost:
+        assert f"warning: seed {seed}: worker process died" in proc.stderr
+    assert proc.stderr.count("worker process died") == 2
+    assert main(["sweep", "--npop", "10", "--seeds", "24", "--out", str(serial)]) == 0
+    _, _, rows = read_table(out / "runs.csv")
+    _, _, expected = read_table(serial / "runs.csv")
+    assert len(rows) == len(expected) == 24
+    for row, want in zip(rows, expected):
+        if row["seed"] in lost:
+            assert row["termination_reason"] == "error" and row["q_c"] == "0", row
+        else:
+            assert row == want
+    _, _, failures = read_table(out / "failures.csv")
+    assert failures == [{"run_id": str(int(seed) - 1), "seed": seed,
+                         "error": "worker process died"} for seed in sorted(lost, key=int)]
+
+
 def test_run_many_starts_no_thread_and_leaves_no_child(monkeypatch):
     # the parent forks and runs with no helper thread, and no child outlives
     # the call, whether it returns or the parent's own drain raises

@@ -1,16 +1,19 @@
-"""A second implementation of the draw contract, checked against ``ga.run``.
+"""A second implementation of the draw and fitness contract, checked against
+``ga.run``.
 
 The search below is written from README "Determinism and randomness" alone
-and shares no code with ``evogate.ga`` or ``evogate.genome``: it draws one
-selection double at a time, holds each chromosome as a list of 0/1 genes,
-crosses over by cut pair ``(s, e)``, flips gene by gene and scores one
-candidate at a time through ``tasks.population_fitness``.  It must match
+and shares no code with evogate: it reads each task as the plain data of its
+task file, draws one selection double at a time, holds each chromosome as a
+list of 0/1 genes, crosses over by cut pair ``(s, e)``, flips gene by gene and
+scores one candidate at a time in pure Python floats.  It must match
 ``ga.run`` record for record, bit for bit.  A mismatch is a bug in the
 contract text or in the code.
 """
 
 import math
+import sys
 from bisect import bisect_right
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from evogate import ga, tasks
 from evogate.genome import CodecConfig
 from test_golden import GENERAL_TASK
 
-TASKS = {"deutsch": tasks.deutsch_task(), "general": tasks.task_from_dict(GENERAL_TASK)}
+# each d = 2 task as the data of its task file: complex numbers as [re, im] pairs
+TASKS = {"deutsch": tasks.task_to_dict(tasks.deutsch_task()), "general": GENERAL_TASK}
 GENERATIONS = 3
 THRESHOLD = 1e-12  # low enough that almost every case breeds for all generations
 
@@ -88,11 +92,54 @@ def code(genes):
     return u
 
 
+def su2(p):
+    """The closed-form rotation of ``p = (px, py, pz)`` as rows of (re, im)
+    entries: ``T = sqrt((px*px + py*py) + pz*pz)``, ``f = sin(x)/x`` for
+    ``x = pi*(T/pi)`` (epsilon when 0), and u00 = (cos T, 0 - f*pz), u01 =
+    (-(f*py), 0 - f*px), u10 = (f*py, 0 - f*px), u11 = (cos T, 0 + f*pz)."""
+    px, py, pz = p
+    theta = math.sqrt((px * px + py * py) + pz * pz)
+    x = math.pi * (theta / math.pi) or sys.float_info.epsilon
+    f = math.sin(x) / x
+    c = math.cos(theta)
+    return [[(c, 0.0 - f * pz), (-(f * py), 0.0 - f * px)],
+            [(f * py, 0.0 - f * px), (c, 0.0 + f * pz)]]
+
+
+def dot(row, state):
+    """sum_j row[j] * state[j]: each product (ar*br - ai*bi, ar*bi + ai*br),
+    added in index order to a sum that starts at 0.0."""
+    re = im = 0.0
+    for (ar, ai), (br, bi) in zip(row, state):
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    return re, im
+
+
+def fitness(task, params):
+    """Mean fidelity of one candidate of a d = 2 task: each pair's state walks
+    the slots in order from the initial state, its amplitude on the
+    conjugated target gives re*re + im*im, and the pairs' values are added
+    in task order, then divided by their count."""
+    us = [su2(p) for p in params]
+    total = None
+    for label, target in task["pairs"]:
+        state = task["initial_state"]
+        for slot in task["slots"]:
+            if slot["kind"] == "trainable":
+                m = us[slot["index"] - 1]
+            else:
+                m = task["oracle_families"][slot.get("family", "oracle")][label]
+            state = [dot(row, state) for row in m]
+        re, im = dot([(tr, -ti) for tr, ti in target], state)
+        total = re * re + im * im if total is None else total + (re * re + im * im)
+    return total / len(task["pairs"])
+
+
 def score(task, genome, half_range):
     depth = len(genome[0][0])
-    params = [[half_range * (2 * code(ch) + 1 - 2**depth) / 2**depth for ch in slot]
-              for slot in genome]
-    return float(tasks.population_fitness(task, np.array(params)))
+    return fitness(task, [[half_range * (2 * code(ch) + 1 - 2**depth) / 2**depth
+                           for ch in slot] for slot in genome])
 
 
 def ranked(task, genomes, half_range):
@@ -104,7 +151,8 @@ def ranked(task, genomes, half_range):
 def port_run(task, n_pop, depth, half_range, rate, elitism, seed):
     init, selection, crossover, mutation = (
         Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))) for k in range(4))
-    n_slots, n_comp = task.n_slots, task.n_components
+    n_slots = sum(slot["kind"] == "trainable" for slot in task["slots"])
+    n_comp = task["dim"] ** 2 - 1
     genomes = init.integers(0, 2, size=(n_pop, n_slots, n_comp, depth), dtype=np.uint8).tolist()
     pop = ranked(task, genomes, half_range)
     bounds = rank_bounds(n_pop)
@@ -157,6 +205,7 @@ def _bits(values):
 @pytest.mark.parametrize("n_pop", [2, 3, 11, 101])
 def test_port_matches_ga_run(task_name, n_pop):
     task = TASKS[task_name]
+    spec = tasks.task_from_dict(task)
     seed = 0
     for depth in (1, 15, 52):
         codec = CodecConfig(depth=depth)
@@ -166,7 +215,7 @@ def test_port_matches_ga_run(task_name, n_pop):
                 cfg = ga.GAConfig(n_pop=n_pop, threshold=THRESHOLD, codec=codec,
                                   mutation_rate=rate, elitism=elitism,
                                   max_generations=GENERATIONS)
-                rec = ga.run(cfg, task, seed)
+                rec = ga.run(cfg, spec, seed)
                 means, spreads, bests, reason, best = port_run(
                     task, n_pop, depth, codec.half_range, rate, elitism, seed)
                 case = (depth, rate, elitism, seed)
@@ -178,6 +227,22 @@ def test_port_matches_ga_run(task_name, n_pop):
                 assert np.array_equal(rec.best_genome, best), case
                 assert _bits(rec.best_fitness) == _bits(bests[-1]), case
                 assert _bits(rec.epsilon_opt) == _bits(1.0 - bests[-1]), case
+
+
+@pytest.mark.parametrize("task_name", sorted(TASKS))
+def test_scalar_fitness_matches_population_fitness(task_name):
+    # 20,000 random candidates, then the grid points of depth 1 and the zero
+    # vector, whose sin(x)/x takes the epsilon branch
+    task = TASKS[task_name]
+    spec = tasks.task_from_dict(task)
+    rng = np.random.default_rng(12)
+    shape = (spec.n_slots, spec.n_components)
+    grid = np.array(list(product([-np.pi / 2, np.pi / 2], repeat=math.prod(shape))))
+    params = np.concatenate([rng.uniform(-np.pi, np.pi, (20_000,) + shape),
+                             grid.reshape((-1,) + shape), np.zeros((1,) + shape)])
+    want = tasks.population_fitness(spec, params)
+    got = np.array([fitness(task, p) for p in params.tolist()])
+    assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("n_pop", [2, 3, 11, 101])

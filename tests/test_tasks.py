@@ -206,6 +206,20 @@ def test_population_fitness_matches_reference_bit_for_bit(d, kinds):
 
 # ------------------------------------------------------------ compose_total
 
+def test_trainable_unitaries_is_the_closed_form_at_d2_only():
+    from test_cli import _qutrit_task
+
+    rng = np.random.default_rng(24)
+    for task in (deutsch_task(), _qutrit_task()):
+        params = rng.uniform(-np.pi, np.pi, (3, 5, task.n_slots, task.n_components))
+        build = (linalg.su2_closed_form(params) if task.dim == 2
+                 else linalg.unitary_from_params(params, task.dim))
+        assert tasks.trainable_unitaries(task, params).tobytes() == build.tobytes()
+        assert tasks.trainable_unitaries(task, params[1, 2]).shape == (2, task.dim, task.dim)
+        with pytest.raises(ValueError, match="params must end in shape"):
+            tasks.trainable_unitaries(task, params[..., :1, :])
+
+
 def test_compose_total_matches_manual_product():
     task = deutsch_task()
     g = random_genomes(1, seed=5)[0]
@@ -314,7 +328,8 @@ def test_defect_bounded_by_error_on_converged_runs():
         ]
         _, _, defect = decision_outcome(outs[0], outs[1])
         assert defect <= 4.0 * rec.epsilon_opt + 1e-9
-        ps = analysis.prepared_state(linalg.su2_closed_form(params[0]), task.initial_state)
+        u1 = tasks.trainable_unitaries(task, params)[0]
+        ps = analysis.prepared_state(u1, task.initial_state)
         imbalance = abs(ps.alpha**2 - 0.5)
         assert abs(defect - 4.0 * imbalance**2) <= 1e-9
         assert defect <= 4.0 * imbalance + 1e-9
@@ -348,6 +363,42 @@ def test_task_validation():
             2, (TrainableSlot(1), OracleSlot("other")),
             KET0, (("x", KET1),), family,
         )
+
+
+# (value, accepted): a task and the one check in linalg agree on each
+STATES = [(KET1, True), ((1 + 1e-11) * KET1, True), ((1 + 1e-9) * KET1, False),
+          (2.0 * KET1, False), (np.array([np.nan, 0.0]), False), (np.array([1.0]), False),
+          (np.eye(2), False)]
+ORACLES = [(np.eye(2), True), ((1 + 1e-13) * np.eye(2), True), ((1 + 1e-11) * np.eye(2), False),
+           (np.ones((2, 2)), False), (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
+           (np.eye(3), False), (KET1, False)]
+
+
+def _accepts(build, accepted, match):
+    if accepted:
+        build()
+    else:
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
+@pytest.mark.parametrize("state, accepted", STATES)
+def test_task_states_pass_the_linalg_state_check(state, accepted):
+    slots = (TrainableSlot(1), OracleSlot())
+    family = {"oracle": {"x": np.eye(2)}}
+    _accepts(lambda: TaskSpec(2, slots, state, (("x", KET1),), family), accepted,
+             "initial state must")
+    _accepts(lambda: TaskSpec(2, slots, KET0, (("x", state),), family), accepted,
+             "target for 'x' must")
+    _accepts(lambda: linalg.check_state(state, 2), accepted, "state must")
+
+
+@pytest.mark.parametrize("oracle, accepted", ORACLES)
+def test_task_oracles_pass_the_linalg_unitary_check(oracle, accepted):
+    slots = (TrainableSlot(1), OracleSlot())
+    _accepts(lambda: TaskSpec(2, slots, KET0, (("x", KET1),), {"oracle": {"x": oracle}}),
+             accepted, "oracle 'oracle'/'x' (must be|is not unitary)")
+    _accepts(lambda: linalg.check_unitary(oracle, 2), accepted, "matrix (must be|is not unitary)")
 
 
 # ------------------------------------------------------------ serialization
