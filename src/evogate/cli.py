@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -34,8 +35,6 @@ from .genome import CodecConfig
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 2
-
-CLAIM_TIMEOUT = 10.0  # seconds to wait for the run counter's lock before "no run left"
 
 # lower bounds of the integer keys that no library config checks
 _INT_MINIMUMS = {"seeds": 1, "base_seed": 0, "horizon": 0, "workers": 1}
@@ -192,23 +191,12 @@ def _sweep_worker(ga_cfg, task, seed):
         return "error", (type(exc).__name__, str(exc))
 
 
-def _claim(claim, n: int, stop: bool = False) -> int:
-    """The next of ``n`` run indices from the counter ``claim`` (with ``stop`` it
-    hands out no more), or ``n`` if none is left or a dead process holds the lock."""
-    if not claim.get_lock().acquire(timeout=CLAIM_TIMEOUT):
-        return n
-    try:
-        i = claim.value
-        claim.value = n if stop else min(i + 1, n)
-    finally:
-        claim.get_lock().release()
-    return i
-
-
-def _drain(claim, ga_cfg, task, seeds) -> dict:
-    """Run the indices of ``seeds`` that ``claim`` hands out until none is left."""
+def _drain(tickets, ga_cfg, task, seeds) -> dict:
+    """Run the indices of ``seeds`` read from the ticket file ``tickets``
+    until it is used up."""
     done = {}
-    while (i := _claim(claim, len(seeds))) < len(seeds):
+    while ticket := os.read(tickets, 8):
+        i = int.from_bytes(ticket, "little")
         done[i] = _sweep_worker(ga_cfg, task, seeds[i])
     return done
 
@@ -223,11 +211,13 @@ def run_many(ga_cfg, task, seeds, workers: int):
     lost run's is ``(None, "worker process died")``.
 
     ``min(workers, len(seeds), CPUs this process may use)`` processes, this
-    one and forked children, take run indices from one shared counter; one
-    means no pool.  Merged by index, the outcome does not depend on the worker
-    count.  A dead child costs only its own runs, and no child outlives the
-    call; if it died holding the counter's lock, this process runs the indices
-    nobody claimed once the children are gone.
+    one and forked children, read run indices, 8 bytes each, from one shared
+    ticket file; one means no pool.  The processes share the file's offset,
+    and Linux moves it atomically on ``read`` (read(2), since 3.14), so each
+    index goes to exactly one process and no claim holds a lock; other
+    ``fork`` platforms are unverified.  Merged by index, the outcome does not
+    depend on the worker count.  A dead child costs only its own runs, and no
+    child outlives the call.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(seeds), cpus or 1)
@@ -238,19 +228,22 @@ def run_many(ga_cfg, task, seeds, workers: int):
     from multiprocessing import get_context
 
     fork = get_context("fork")
-    claim = fork.Value("q", 0)
+    ticket_file = tempfile.TemporaryFile()
+    tickets = ticket_file.fileno()
     children, done = [], {}
     try:
+        ticket_file.write(np.arange(len(seeds), dtype="<i8").tobytes())
+        ticket_file.seek(0)
         for _ in range(workers - 1):
             reader, writer = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_child, args=(writer, claim, ga_cfg, task, seeds),
+            proc = fork.Process(target=_child, args=(writer, tickets, ga_cfg, task, seeds),
                                 daemon=True)
             proc.start()
             writer.close()  # before the next fork, so only this child holds the write end
             children.append((proc, reader))
-        done.update(_drain(claim, ga_cfg, task, seeds))
-    except BaseException:  # children stop after their current run
-        _claim(claim, len(seeds), stop=True)
+        done.update(_drain(tickets, ga_cfg, task, seeds))
+    except BaseException:  # no ticket left: each child stops after its current run
+        os.lseek(tickets, 0, os.SEEK_END)
         raise
     finally:
         for proc, reader in children:  # read first: a large map blocks the child in send
@@ -258,10 +251,7 @@ def run_many(ga_cfg, task, seeds, workers: int):
             with reader, suppress(EOFError, OSError):
                 done.update(reader.recv())
             proc.join()
-    # the children are gone, so the counter is read without its lock, which a
-    # child that died holding it keeps; what nobody claimed runs here
-    for i in range(claim.get_obj().value, len(seeds)):
-        done[i] = _sweep_worker(ga_cfg, task, seeds[i])
+        ticket_file.close()
     return [done.get(i, ("error", (None, "worker process died"))) for i in range(len(seeds))]
 
 

@@ -83,7 +83,9 @@ def read_points_csv(path):
     or a plain two-column table named ``epsilon`` and ``q``.  A data row with
     the wrong cell count or an unparsable ``eps`` or ``q`` raises
     ``ValueError("<path>: data row N: ...")``, N counting from 1 after the
-    header; a row with a non-finite value (a failed run) is skipped.
+    header; a row with a non-finite value (a failed run) is skipped, and so
+    is, in a table with a ``termination_reason`` column, a run that did not
+    converge.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -98,6 +100,8 @@ def read_points_csv(path):
         raise ValueError(
             f"{path}: expected columns epsilon_opt/q_c or epsilon/q, got {header}"
         )
+    # a run stopped at the generation cap has no q_c of its own: the cap's
+    ri = header.index("termination_reason") if "termination_reason" in header else None
     eps, q = [], []
     for n, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
@@ -107,6 +111,8 @@ def read_points_csv(path):
             e_val, q_val = float(cells[ei]), float(cells[qi])
         except ValueError as exc:
             raise ValueError(f"{path}: data row {n}: {exc}") from None
+        if ri is not None and cells[ri] != "converged":  # ga.TERMINATED_CONVERGED
+            continue
         if np.isfinite(e_val) and np.isfinite(q_val):  # a failed run writes nan
             eps.append(e_val)
             q.append(q_val)

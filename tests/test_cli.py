@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -618,28 +619,27 @@ def test_a_child_killed_while_sending_loses_only_its_own_runs(monkeypatch):
     assert all(results[i] == ("ok", i) for i in set(range(40)) - set(lost))
 
 
-def test_a_child_that_dies_holding_the_counter_lock_stalls_nobody(tmp_path):
+def test_a_child_that_dies_between_claims_stalls_nobody(tmp_path):
     # Three processes, 20 ms a run.  The first child to reach its second run
     # claims it, waits until the parent has finished a run (which the parent
-    # finishes only then), and exits holding the run counter's lock while
-    # most runs are still unclaimed.  The other two must give up waiting for
-    # the lock, and the parent must run what nobody claimed: only the dead
-    # child's two runs are lost.  In a fresh process, so that a wait without
-    # end fails this test by its timeout instead of hanging it.
+    # finishes only then), and exits before its next claim, while most
+    # tickets are still unread.  The other two must read the rest: only the
+    # dead child's two runs are lost.  In a fresh process, so that a wait
+    # without end fails this test by its timeout instead of hanging it.
     script = textwrap.dedent("""
         import os, sys, time
         from evogate import cli
         out, tmp = sys.argv[1], sys.argv[2]
-        real_run, real_child, me = cli.ga_run, cli._child, os.getpid()
-        held, mine = [], []
+        real_run, real_drain, me = cli.ga_run, cli._drain, os.getpid()
+        tickets, mine = [], []
 
         def wait_for(name):
             while not os.path.exists(os.path.join(tmp, name)):
                 time.sleep(0.002)
 
-        def child(writer, claim, *drain_args):
-            held.append(claim.get_lock())
-            real_child(writer, claim, *drain_args)
+        def drain(fd, *args):
+            tickets.append(fd)
+            return real_drain(fd, *args)
 
         def fragile(ga_cfg, task, seed):
             time.sleep(0.02)
@@ -653,9 +653,9 @@ def test_a_child_that_dies_holding_the_counter_lock_stalls_nobody(tmp_path):
                     pass
                 else:
                     wait_for("ran")
+                    read = os.lseek(tickets[0], 0, os.SEEK_CUR) // 8
                     with open(os.path.join(tmp, "lost"), "w") as fh:
-                        fh.write(f"{mine[0]} {seed}")
-                    held[0].acquire()
+                        fh.write(f"{read} {mine[0]} {seed}")
                     os._exit(70)
             mine.append(seed)
             record = real_run(ga_cfg, task, seed)
@@ -664,7 +664,7 @@ def test_a_child_that_dies_holding_the_counter_lock_stalls_nobody(tmp_path):
             return record
 
         os.sched_getaffinity = lambda pid: set(range(4))
-        cli._child, cli.ga_run, cli.CLAIM_TIMEOUT = child, fragile, 0.5
+        cli._drain, cli.ga_run = drain, fragile
         sys.exit(cli.main(["sweep", "--npop", "10", "--seeds", "24", "--workers", "3",
                            "--out", out]))
     """)
@@ -673,8 +673,8 @@ def test_a_child_that_dies_holding_the_counter_lock_stalls_nobody(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(out), str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
-    lost = (tmp_path / "lost").read_text().split()
-    assert len(lost) == 2
+    read, *lost = (tmp_path / "lost").read_text().split()
+    assert int(read) < 12 and len(lost) == 2, (read, lost)
     for seed in lost:
         assert f"warning: seed {seed}: worker process died" in proc.stderr
     assert proc.stderr.count("worker process died") == 2
@@ -692,32 +692,54 @@ def test_a_child_that_dies_holding_the_counter_lock_stalls_nobody(tmp_path):
                          "error": "worker process died"} for seed in sorted(lost, key=int)]
 
 
-def test_run_many_starts_no_thread_and_leaves_no_child(monkeypatch):
-    # the parent forks and runs with no helper thread, and no child outlives
-    # the call, whether it returns or the parent's own drain raises
+def test_run_many_starts_no_thread_and_leaves_no_child(tmp_path, monkeypatch):
+    # the parent forks and runs with no helper thread, and no child, pipe or
+    # ticket file outlives the call, whether it returns or the parent's own
+    # drain raises; when it raises, each child stops after its current run
     import multiprocessing
+    import tempfile
     import threading
 
     class Stop(BaseException):
         pass
 
-    me, before, threads = os.getpid(), threading.active_count(), []
+    def open_fds():  # None where /proc/self/fd does not exist
+        with suppress(FileNotFoundError):
+            return len(os.listdir("/proc/self/fd"))
+
+    me, before, threads, fds = os.getpid(), threading.active_count(), [], open_fds()
+    made, real_file, log = [], tempfile.TemporaryFile, tmp_path / "after_stop"
+
+    def ticket_file(*args, **kwargs):  # kept alive here, so only a close frees its fd
+        made.append(real_file(*args, **kwargs))
+        return made[-1]
 
     def counted(ga_cfg, task, seed):
         if os.getpid() == me:
             threads.append(threading.active_count())
             if seed == "stop":
                 raise Stop
+        elif seed == "stop":
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("run\n")
+            time.sleep(0.05)
         time.sleep(0.005)
         return seed
 
     monkeypatch.setattr(cli, "ga_run", counted)
+    monkeypatch.setattr(tempfile, "TemporaryFile", ticket_file)
     results = cli.run_many(None, None, list(range(40)), 3)
     assert [r for _, r in results] == list(range(40))
     assert multiprocessing.active_children() == []
+    assert open_fds() == fds
     with pytest.raises(Stop):
         cli.run_many(None, None, ["stop"] * 40, 3)
     assert multiprocessing.active_children() == []
+    assert open_fds() == fds
+    assert len(made) == 2 and all(f.closed for f in made)
+    # each child finishes the run it is in, and may have begun one before the parent raised
+    after_stop = log.read_text().split() if log.exists() else []
+    assert len(after_stop) <= 4, after_stop
     assert threads and set(threads) == {before}, (before, threads)
 
 
@@ -870,6 +892,19 @@ def test_fit_reads_sweep_summaries(tmp_path):
     fit_dir = tmp_path / "fit"
     assert main(["fit", str(out / "runs.csv"), "--bins", "0", "--out", str(fit_dir)]) in (0, 2)
     assert "# source = runs.csv" in (fit_dir / "fit.csv").read_text().splitlines()
+    # a run stopped at the generation cap is no point, as in reproduce fig7:
+    # its q_c is the cap's, not the run's
+    capped = tmp_path / "capped"
+    assert main(["sweep", "--npop", "10", "--seeds", "30", "--max-gen", "15",
+                 "--out", str(capped)]) == 0
+    _, _, rows = read_table(capped / "runs.csv")
+    done = [r for r in rows if r["termination_reason"] == "converged"]
+    assert 4 <= len(done) < len(rows)
+    eps, q = files.read_points_csv(capped / "runs.csv")
+    assert eps.tolist() == [float(r["epsilon_opt"]) for r in done]
+    assert q.tolist() == [float(r["q_c"]) for r in done]
+    assert main(["fit", str(capped / "runs.csv"), "--bins", "0", "--out", str(fit_dir)]) in (0, 2)
+    assert f"# n_points = {len(done)}" in (fit_dir / "fit.csv").read_text().splitlines()
 
 
 def test_fit_rejects_a_short_row_and_joined_tables(tmp_path, capsys):
@@ -1034,8 +1069,8 @@ def test_a_run_imports_nothing(tmp_path):
         ga.run(cli.make_ga_config(cli.ExperimentConfig(npop=6, max_gen=5), task), task, 1)
         out = sys.argv[1]
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [cli.main(["sweep", "--npop", "6", "--seeds", "8", "--max-gen", "5",
-                               "--workers", "1", "--out", out]),
+            codes = [cli.main(["sweep", "--npop", "6", "--seeds", "8", "--workers", "1",
+                               "--out", out]),
                      cli.main(["fit", os.path.join(out, "runs.csv"), "--bins", "4",
                                "--out", out])]
         print(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - before)}))
@@ -1055,7 +1090,7 @@ def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
         import contextlib, io, json, os, sys
         from evogate import cli
         out = sys.argv[1]
-        common = ["--npop", "6", "--max-gen", "5", "--out", out]
+        common = ["--npop", "6", "--out", out]
         commands = {
             "run": ["run", *common],
             "sweep --workers 1": ["sweep", "--seeds", "8", "--workers", "1", *common],
