@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
 import sys
 import tempfile
 from contextlib import suppress
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__, analysis, files
 from . import genome as genome_mod
 from . import tasks as tasks_mod
-from .ga import TERMINATED_CONVERGED, GAConfig, run as ga_run
+from .ga import TERMINATED_CAP, TERMINATED_CONVERGED, GAConfig, run as ga_run
 from .genome import CodecConfig
 
 EXIT_OK = 0
@@ -184,25 +185,17 @@ def _analysis_payload(record, task, codec, rounding_bound: float) -> dict:
     return payload
 
 
-def _sweep_worker(ga_cfg, task, seed):
-    try:
-        return "ok", ga_run(ga_cfg, task, seed)
-    except Exception as exc:  # recorded per run; the sweep continues
-        return "error", (type(exc).__name__, str(exc))
-
-
 def _drain(tickets, ga_cfg, task, seeds) -> dict:
     """Run the indices of ``seeds`` read from the ticket file ``tickets``
-    until it is used up."""
+    until it is used up; a failed run is recorded and the drain goes on."""
     done = {}
     while ticket := os.read(tickets, 8):
         i = int.from_bytes(ticket, "little")
-        done[i] = _sweep_worker(ga_cfg, task, seeds[i])
+        try:
+            done[i] = "ok", ga_run(ga_cfg, task, seeds[i])
+        except Exception as exc:  # recorded per run; the sweep continues
+            done[i] = "error", (type(exc).__name__, str(exc))
     return done
-
-
-def _child(writer, *drain_args) -> None:
-    writer.send(_drain(*drain_args))  # once, at the end: a child that dies sends nothing
 
 
 def run_many(ga_cfg, task, seeds, workers: int):
@@ -211,46 +204,53 @@ def run_many(ga_cfg, task, seeds, workers: int):
     lost run's is ``(None, "worker process died")``.
 
     ``min(workers, len(seeds), CPUs this process may use)`` processes, this
-    one and forked children, read run indices, 8 bytes each, from one shared
-    ticket file; one means no pool.  The processes share the file's offset,
-    and Linux moves it atomically on ``read`` (read(2), since 3.14), so each
-    index goes to exactly one process and no claim holds a lock; other
-    ``fork`` platforms are unverified.  Merged by index, the outcome does not
-    depend on the worker count.  A dead child costs only its own runs, and no
-    child outlives the call.
+    one and ``os.fork`` children, read run indices, 8 bytes each, from one
+    shared ticket file.  The processes share the file's offset, and Linux
+    moves it atomically on ``read`` (read(2), since 3.14), so each index goes
+    to exactly one process and no claim holds a lock; other ``fork``
+    platforms are unverified.  Each child pickles its results into its own
+    pipe once, at the end; merged by index, the outcome does not depend on
+    the worker count.  A dead child costs only its own runs, and no child,
+    pipe or ticket file outlives the call.  Without ``os.fork``, more than
+    one process raises ``ValueError`` before any run.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(seeds), cpus or 1)
-    if workers == 1:
-        return [_sweep_worker(ga_cfg, task, s) for s in seeds]
-    # imported in the parent before the first fork, so serial commands never
-    # load it; the children fork to inherit ga_run, settings, task and seeds
-    from multiprocessing import get_context
-
-    fork = get_context("fork")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"config key 'workers': {workers} processes need os.fork, "
+                         "which this platform lacks")
     ticket_file = tempfile.TemporaryFile()
     tickets = ticket_file.fileno()
-    children, done = [], {}
+    children, done = [], {}  # (pid, read end of its pipe) of each child
     try:
         ticket_file.write(np.arange(len(seeds), dtype="<i8").tobytes())
         ticket_file.seek(0)
         for _ in range(workers - 1):
-            reader, writer = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_child, args=(writer, tickets, ga_cfg, task, seeds),
-                                daemon=True)
-            proc.start()
-            writer.close()  # before the next fork, so only this child holds the write end
-            children.append((proc, reader))
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child never returns into the caller's frames
+                    try:
+                        with open(writer, "wb") as sink:
+                            pickle.dump(_drain(tickets, ga_cfg, task, seeds), sink)
+                    finally:
+                        os._exit(0)  # flushes no stdio buffer the parent filled
+            except BaseException:  # the fork failed: no child holds this pipe
+                os.close(reader)
+                raise
+            finally:
+                os.close(writer)  # before the next fork, so only the child holds it
+            children.append((pid, reader))
         done.update(_drain(tickets, ga_cfg, task, seeds))
     except BaseException:  # no ticket left: each child stops after its current run
         os.lseek(tickets, 0, os.SEEK_END)
         raise
     finally:
-        for proc, reader in children:  # read first: a large map blocks the child in send
-            # end of file, also inside a message: the child died, its runs are lost
-            with reader, suppress(EOFError, OSError):
-                done.update(reader.recv())
-            proc.join()
+        for pid, reader in children:  # read first: a large map blocks the child in write
+            # end of file, also inside the pickle: the child died, its runs are lost
+            with open(reader, "rb") as source, suppress(EOFError, pickle.UnpicklingError):
+                done.update(pickle.load(source))
+            os.waitpid(pid, 0)
         ticket_file.close()
     return [done.get(i, ("error", (None, "worker process died"))) for i in range(len(seeds))]
 
@@ -281,12 +281,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return EXIT_OK if record.termination_reason == TERMINATED_CONVERGED else EXIT_FLAGGED
 
 
-def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
-    """Run ``cfg.seeds`` seeds from ``cfg.base_seed`` and write the runs,
-    stats and (for qubit tasks) alpha-phi tables to ``cfg.out``, each name
-    led by ``prefix``.  A failed or lost run gets an ``error`` row, a row in
-    a failures table and a stderr warning; returns the records of the runs
-    that succeeded, in seed order."""
+def _sweep(cfg: ExperimentConfig, task, label: str, prefix: str = "") -> list:
+    """Run ``cfg.seeds`` seeds from ``cfg.base_seed``, write the runs, stats
+    and (for qubit tasks) alpha-phi tables to ``cfg.out``, each name led by
+    ``prefix``, and print a summary line led by ``label``.  A failed or lost
+    run gets an ``error`` row, a row in a failures table and a stderr
+    warning; returns the records of the runs that succeeded, in seed order."""
     ga_cfg = make_ga_config(cfg, task)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
     results = run_many(ga_cfg, task, seeds, cfg.workers)
@@ -325,12 +325,14 @@ def _sweep(cfg: ExperimentConfig, task, prefix: str = "") -> list:
         files.write_csv(path("alpha_phi.csv"), meta, ("run_id,alpha,phi,epsilon_opt", alpha_phi))
     if failures:
         files.write_csv(path("failures.csv"), meta, ("run_id,seed,error", failures))
+    capped = sum(r.termination_reason == TERMINATED_CAP for r in records)
+    print(f"{label}: {len(records)}/{cfg.seeds} runs succeeded, {capped} at the generation cap,"
+          f" results in {cfg.out}")
     return records
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    records = _sweep(cfg, resolve_task(cfg.task))
-    print(f"sweep: {len(records)}/{cfg.seeds} runs succeeded, results in {cfg.out}")
+    records = _sweep(cfg, resolve_task(cfg.task), "sweep")
     if not records:
         return EXIT_ERROR
     return EXIT_OK if len(records) == cfg.seeds else EXIT_FLAGGED
@@ -372,20 +374,17 @@ def cmd_reproduce(cfg: ExperimentConfig, npops: list, figure: str) -> int:
     for npop in npops:
         prefix = "fig6_" if figure == "fig6" else f"{figure}_npop{npop}_"
         npop_cfg = replace(cfg, npop=npop)
-        records = _sweep(npop_cfg, task, prefix)
-        print(f"{figure}: npop={npop}: {len(records)}/{cfg.seeds} runs succeeded")
+        records = _sweep(npop_cfg, task, f"{figure}: npop={npop}", prefix)
         if not records:
             raise RuntimeError(f"all runs failed for npop={npop}")
         if len(records) < cfg.seeds:
             worst = EXIT_FLAGGED
         if figure != "fig7":
             continue
-        done = [r for r in records if r.termination_reason == TERMINATED_CONVERGED]
-        eps = np.array([r.epsilon_opt for r in done])
-        q = np.array([r.q_c for r in done], dtype=float)
-        try:
+        try:  # the points `evogate fit` reads from the table just written
+            eps, q = files.read_points_csv(os.path.join(cfg.out, f"{prefix}runs.csv"))
             fit, converged, identified = _fit_step(npop_cfg, eps, q, 20, f"{prefix}fit.csv")
-        except ValueError as exc:  # too few or all-equal points: this npop only
+        except ValueError as exc:  # no, too few or all-equal points: this npop only
             print(f"{figure}: npop={npop}: fit skipped: {exc}")
             worst = EXIT_FLAGGED
             continue

@@ -239,7 +239,8 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
 
 def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     """One full search: random population, evolve until the fitness spread
-    drops below the threshold or the generation cap is reached.
+    drops below the threshold or all fitnesses are equal (both converged),
+    or until the generation cap.
 
     Deterministic in (cfg, task, seed); a cap stop is a valid outcome, not an
     error.  Generation indices are 1-based and ``q_c`` counts evaluated
@@ -265,7 +266,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         means.append(mean)
         flucts.append(spread)
         bests.append(float(fitness[0]))
-        if spread < cfg.threshold:
+        if spread < cfg.threshold or fitness[0] == fitness[-1]:  # sorted: all equal
             reason = TERMINATED_CONVERGED
             break
         if generation >= cfg.max_generations:

@@ -1,7 +1,8 @@
+import errno
 import json
 import math
 import os
-import struct
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -489,7 +490,7 @@ def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
     pooled[6] = sweep(6, 3)
     assert len(forks) == 3
     sweep(1, 3)
-    assert len(forks) == 3  # a single worker runs serially, without a pool
+    assert len(forks) == 3  # one worker forks no child
     assert set(forks) == {os.getpid()}  # no child forks
     for seeds, out in pooled.items():
         serial = sweep(seeds, 1)
@@ -504,6 +505,27 @@ def test_pool_is_capped_at_the_seed_count(tmp_path, monkeypatch):
     assert main(capped + ["--workers", "1", "--out", str(tmp_path / "c1")]) == 0
     for name in ("runs.csv", "stats.csv", "alpha_phi.csv"):
         assert read_bytes(tmp_path / "c8" / name) == read_bytes(tmp_path / "c1" / name), name
+
+
+def test_a_pool_without_os_fork_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    # where os.fork is missing (Windows), more than one worker is a config
+    # error before any run; one worker needs no fork and still runs
+    ran = []
+    real_run = cli.ga_run
+
+    def counted(ga_cfg, task, seed):
+        ran.append(seed)
+        return real_run(ga_cfg, task, seed)
+
+    monkeypatch.setattr(cli, "ga_run", counted)
+    monkeypatch.delattr(os, "fork")
+    _usable_cpus(monkeypatch, 4)
+    args = ["sweep", "--npop", "6", "--seeds", "3"]
+    assert main(args + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 1
+    assert "error: config key 'workers': 2 processes need os.fork" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "w2").exists()
+    assert main(args + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert ran == [1, 2, 3] and (tmp_path / "w1" / "runs.csv").exists()
 
 
 def test_every_process_claims_and_each_run_index_runs_once(tmp_path, monkeypatch):
@@ -598,25 +620,26 @@ def test_a_dead_child_spares_its_siblings(tmp_path, monkeypatch, capsys, workers
 
 
 def test_a_child_killed_while_sending_loses_only_its_own_runs(monkeypatch):
-    # the child runs its share, then dies inside its message: a length
-    # header (multiprocessing's 4-byte big-endian framing) for 1 MB, cut
-    # after 100 bytes.  The parent's runs and the merge must survive it.
-    def cut_short(writer, *drain_args):
-        cli._drain(*drain_args)
-        os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"x" * 100)
-        os._exit(70)
-
+    # the child runs its share, then dies inside its message: it writes the
+    # pickle of its results cut short (no byte, half of it, all but the last)
+    # to its pipe and exits.  The parent's runs and the merge must survive it.
     def slow(ga_cfg, task, seed):
         time.sleep(0.005)
         return seed
 
-    monkeypatch.setattr(cli, "_child", cut_short)
     monkeypatch.setattr(cli, "ga_run", slow)
-    results = cli.run_many(None, None, range(40), 2)
-    lost = [i for i, (status, _) in enumerate(results) if status == "error"]
-    assert 0 < len(lost) < 40, results
-    assert all(results[i] == ("error", (None, "worker process died")) for i in lost)
-    assert all(results[i] == ("ok", i) for i in set(range(40)) - set(lost))
+    for keep in (lambda n: 0, lambda n: n // 2, lambda n: n - 1):
+        def cut_short(done, sink, keep=keep):  # only a child sends: the parent reads
+            data = pickle.dumps(done)
+            os.write(sink.fileno(), data[:keep(len(data))])
+            os._exit(70)
+
+        monkeypatch.setattr(pickle, "dump", cut_short)
+        results = cli.run_many(None, None, range(40), 2)
+        lost = [i for i, (status, _) in enumerate(results) if status == "error"]
+        assert 0 < len(lost) < 40, results
+        assert all(results[i] == ("error", (None, "worker process died")) for i in lost)
+        assert all(results[i] == ("ok", i) for i in set(range(40)) - set(lost))
 
 
 def test_a_child_that_dies_between_claims_stalls_nobody(tmp_path):
@@ -694,9 +717,10 @@ def test_a_child_that_dies_between_claims_stalls_nobody(tmp_path):
 
 def test_run_many_starts_no_thread_and_leaves_no_child(tmp_path, monkeypatch):
     # the parent forks and runs with no helper thread, and no child, pipe or
-    # ticket file outlives the call, whether it returns or the parent's own
-    # drain raises; when it raises, each child stops after its current run
-    import multiprocessing
+    # ticket file outlives the call, whether it returns, the parent's own
+    # drain raises or a fork fails, even while the raised exception (and so
+    # its traceback's frames) is still referenced; when the drain raises,
+    # each child stops after its current run
     import tempfile
     import threading
 
@@ -728,15 +752,33 @@ def test_run_many_starts_no_thread_and_leaves_no_child(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ga_run", counted)
     monkeypatch.setattr(tempfile, "TemporaryFile", ticket_file)
+
+    def nothing_left():  # no child to reap and no descriptor left open
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    _usable_cpus(monkeypatch, 4)
     results = cli.run_many(None, None, list(range(40)), 3)
     assert [r for _, r in results] == list(range(40))
-    assert multiprocessing.active_children() == []
-    assert open_fds() == fds
-    with pytest.raises(Stop):
+    nothing_left()
+    with pytest.raises(Stop) as raised:
         cli.run_many(None, None, ["stop"] * 40, 3)
-    assert multiprocessing.active_children() == []
-    assert open_fds() == fds
-    assert len(made) == 2 and all(f.closed for f in made)
+    assert raised.value.__traceback__ is not None  # still holds run_many's frame
+    nothing_left()
+    real_fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "fork failed")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(OSError, match="fork failed") as raised:
+        cli.run_many(None, None, list(range(40)), 3)
+    nothing_left()
+    assert len(made) == 3 and all(f.closed for f in made)
     # each child finishes the run it is in, and may have begun one before the parent raised
     after_stop = log.read_text().split() if log.exists() else []
     assert len(after_stop) <= 4, after_stop
@@ -882,7 +924,7 @@ def test_fit_too_few_points(tmp_path):
     assert main(["fit", str(src), "--bins", "0", "--out", str(tmp_path / "o")]) == 1
 
 
-def test_fit_reads_sweep_summaries(tmp_path):
+def test_fit_reads_sweep_summaries(tmp_path, capsys):
     out = tmp_path / "sweep_for_fit"
     assert main(["sweep", "--npop", "20", "--seeds", "6", "--out", str(out)]) == 0
     eps, q = files.read_points_csv(out / "runs.csv")
@@ -895,11 +937,15 @@ def test_fit_reads_sweep_summaries(tmp_path):
     # a run stopped at the generation cap is no point, as in reproduce fig7:
     # its q_c is the cap's, not the run's
     capped = tmp_path / "capped"
+    capsys.readouterr()
     assert main(["sweep", "--npop", "10", "--seeds", "30", "--max-gen", "15",
                  "--out", str(capped)]) == 0
     _, _, rows = read_table(capped / "runs.csv")
     done = [r for r in rows if r["termination_reason"] == "converged"]
     assert 4 <= len(done) < len(rows)
+    # stdout counts the cap stops, which the exit code does not flag
+    assert (f"sweep: 30/30 runs succeeded, {len(rows) - len(done)} at the generation cap, "
+            f"results in {capped}") in capsys.readouterr().out.splitlines()
     eps, q = files.read_points_csv(capped / "runs.csv")
     assert eps.tolist() == [float(r["epsilon_opt"]) for r in done]
     assert q.tolist() == [float(r["q_c"]) for r in done]
@@ -1000,6 +1046,21 @@ def test_reproduce_fig7_smoke(tmp_path):
     assert (out / "fig7_npop40_fit.csv").exists()
 
 
+def test_reproduce_fig7_fits_the_points_that_fit_reads(tmp_path, capsys):
+    # fig7 fits what `evogate fit` reads back from the runs table it wrote:
+    # the converged runs only, with the same fit in the same bytes
+    out, fit_dir = tmp_path / "fig7", tmp_path / "fit"
+    assert main(["reproduce", "fig7", "--npop", "10", "--seeds", "30", "--max-gen", "15",
+                 "--out", str(out)]) in (0, 2)
+    assert (f"fig7: npop=10: 30/30 runs succeeded, 25 at the generation cap, results in {out}"
+            in capsys.readouterr().out.splitlines())
+    assert main(["fit", str(out / "fig7_npop10_runs.csv"), "--out", str(fit_dir)]) in (0, 2)
+    fig7_rows = read_bytes(out / "fig7_npop10_fit.csv").splitlines()
+    fit_rows = read_bytes(fit_dir / "fit.csv").splitlines()
+    assert b"# n_points = 5" in fig7_rows and b"# n_points = 5" in fit_rows
+    assert fig7_rows[-2:] == fit_rows[-2:]  # the header and the fitted row
+
+
 def test_reproduce_all_failures_exits_nonzero(tmp_path, capsys, monkeypatch):
     import evogate.cli as cli_mod
 
@@ -1083,9 +1144,10 @@ def test_a_run_imports_nothing(tmp_path):
     assert result["new"] == [], f"imported during a run: {result['new']}"
 
 
-def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
-    # multiprocessing costs every interpreter about 1 MB and 10 ms, so only a
-    # sweep that forks children may import it; concurrent.futures is never loaded
+def test_no_command_loads_a_process_pool_module(tmp_path):
+    # a pooled sweep forks with os.fork and pipes: multiprocessing would cost
+    # every interpreter about 1 MB and 10 ms, so no command imports it, nor
+    # concurrent.futures
     script = textwrap.dedent("""
         import contextlib, io, json, os, sys
         from evogate import cli
@@ -1111,6 +1173,4 @@ def test_only_a_pooled_sweep_loads_the_pool(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout)
     assert all(code in (0, 2) for code, _ in seen.values()), seen
-    pooled = seen.pop("sweep --workers 2")[1]
     assert {name: loaded for name, (_, loaded) in seen.items()} == dict.fromkeys(seen, [])
-    assert pooled == ["multiprocessing"]

@@ -148,7 +148,8 @@ def ranked(task, genomes, half_range):
     return sorted(scored, key=lambda fg: -fg[0])
 
 
-def port_run(task, n_pop, depth, half_range, rate, elitism, seed):
+def port_run(task, n_pop, depth, half_range, rate, elitism, seed,
+             threshold=THRESHOLD, generations=GENERATIONS):
     init, selection, crossover, mutation = (
         Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))) for k in range(4))
     n_slots = sum(slot["kind"] == "trainable" for slot in task["slots"])
@@ -167,10 +168,10 @@ def port_run(task, n_pop, depth, half_range, rate, elitism, seed):
         means.append(mean)
         spreads.append(spread)
         bests.append(fitness[0])
-        if spread < THRESHOLD:
+        if spread < threshold or fitness[0] == fitness[-1]:
             reason = "converged"
             break
-        if len(means) >= GENERATIONS:
+        if len(means) >= generations:
             reason = "generation-cap"
             break
         pairs = draw_pairs(selection, bounds, n_pairs)
@@ -201,6 +202,18 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _assert_same(rec, port, case):
+    means, spreads, bests, reason, best = port
+    assert rec.q_c == len(means), case
+    assert rec.termination_reason == reason, case
+    assert _bits(rec.mean_fitness) == _bits(means), case
+    assert _bits(rec.fluctuation) == _bits(spreads), case
+    assert _bits(rec.best_fitness_series) == _bits(bests), case
+    assert np.array_equal(rec.best_genome, best), case
+    assert _bits(rec.best_fitness) == _bits(bests[-1]), case
+    assert _bits(rec.epsilon_opt) == _bits(1.0 - bests[-1]), case
+
+
 @pytest.mark.parametrize("task_name", sorted(TASKS))
 @pytest.mark.parametrize("n_pop", [2, 3, 11, 101])
 def test_port_matches_ga_run(task_name, n_pop):
@@ -215,18 +228,23 @@ def test_port_matches_ga_run(task_name, n_pop):
                 cfg = ga.GAConfig(n_pop=n_pop, threshold=THRESHOLD, codec=codec,
                                   mutation_rate=rate, elitism=elitism,
                                   max_generations=GENERATIONS)
-                rec = ga.run(cfg, spec, seed)
-                means, spreads, bests, reason, best = port_run(
-                    task, n_pop, depth, codec.half_range, rate, elitism, seed)
-                case = (depth, rate, elitism, seed)
-                assert rec.q_c == len(means), case
-                assert rec.termination_reason == reason, case
-                assert _bits(rec.mean_fitness) == _bits(means), case
-                assert _bits(rec.fluctuation) == _bits(spreads), case
-                assert _bits(rec.best_fitness_series) == _bits(bests), case
-                assert np.array_equal(rec.best_genome, best), case
-                assert _bits(rec.best_fitness) == _bits(bests[-1]), case
-                assert _bits(rec.epsilon_opt) == _bits(1.0 - bests[-1]), case
+                port = port_run(task, n_pop, depth, codec.half_range, rate, elitism, seed)
+                _assert_same(ga.run(cfg, spec, seed), port, (depth, rate, elitism, seed))
+
+
+@pytest.mark.parametrize("seed, collapsed_at", [(2, 37), (3, 35)])
+def test_port_stops_where_the_population_collapses(seed, collapsed_at):
+    # at h = 1e-8, below the spread's rounding floor, only the all-equal
+    # rule stops these runs short of the 500-generation cap: the population
+    # holds one fitness from generation q_c on, yet its spread reads >= h
+    codec = CodecConfig(depth=15)
+    cfg = ga.GAConfig(n_pop=100, threshold=1e-8, codec=codec, max_generations=500)
+    port = port_run(TASKS["deutsch"], 100, 15, codec.half_range, 0.0, 0, seed,
+                    threshold=1e-8, generations=500)
+    means, spreads, _, reason, _ = port
+    assert (len(means), reason) == (collapsed_at, "converged")
+    assert spreads[-1] >= cfg.threshold
+    _assert_same(ga.run(cfg, tasks.deutsch_task(), seed), port, seed)
 
 
 @pytest.mark.parametrize("task_name", sorted(TASKS))
