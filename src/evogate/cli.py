@@ -99,7 +99,7 @@ def load_config(config_path, flag_values: dict, presets=None):
     Returns the effective config plus the set of keys a file or flag set.  A
     value below its key's minimum in ``_INT_MINIMUMS``, a horizon whose stats
     table cannot fit in physical memory, or a metadata value that cannot be
-    written as UTF-8 raises ``ValueError`` before any run.
+    written as one UTF-8 line raises ``ValueError`` before any run.
     """
     cfg = ExperimentConfig(**(presets or {}))
     explicit = set()
@@ -129,17 +129,8 @@ def load_config(config_path, flag_values: dict, presets=None):
             raise ValueError(f"config key 'horizon': {cfg.seeds} seeds x {cfg.horizon} generations"
                              f" need {table} bytes of stats, more than {memory} of physical memory")
     for key, value in cfg.metadata().items():
-        _check_utf8(f"config key {key!r}", value)
+        files.check_metadata(f"config key {key!r}", value)
     return cfg, explicit
-
-
-def _check_utf8(what: str, value) -> None:
-    """Raise ``ValueError`` naming ``what`` if ``value``, as a metadata line
-    writes it, has no UTF-8 form (a name holding a lone surrogate)."""
-    try:
-        files.fmt(value).encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"{what} cannot be written as UTF-8") from None
 
 
 def resolve_task(name: str) -> tasks_mod.TaskSpec:
@@ -281,12 +272,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return EXIT_OK if record.termination_reason == TERMINATED_CONVERGED else EXIT_FLAGGED
 
 
-def _sweep(cfg: ExperimentConfig, task, label: str, prefix: str = "") -> list:
+def _sweep(cfg: ExperimentConfig, task, label: str, prefix: str = "") -> int:
     """Run ``cfg.seeds`` seeds from ``cfg.base_seed``, write the runs, stats
     and (for qubit tasks) alpha-phi tables to ``cfg.out``, each name led by
     ``prefix``, and print a summary line led by ``label``.  A failed or lost
     run gets an ``error`` row, a row in a failures table and a stderr
-    warning; returns the records of the runs that succeeded, in seed order."""
+    warning, and flags the exit code it returns; if every run failed, raises
+    ``RuntimeError`` once the tables are written."""
     ga_cfg = make_ga_config(cfg, task)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
     results = run_many(ga_cfg, task, seeds, cfg.workers)
@@ -300,9 +292,7 @@ def _sweep(cfg: ExperimentConfig, task, label: str, prefix: str = "") -> list:
         if status != "ok":
             kind, message = rec
             rows.append((i, seeds[i], 0, math.nan, math.nan, "error", ""))
-            error = f"{kind}: {message}" if kind else message
-            # each newline written as \n, so a failure stays one row
-            failures.append((i, seeds[i], error.replace("\n", "\\n")))
+            failures.append((i, seeds[i], f"{kind}: {message}" if kind else message))
             print(f"warning: seed {seeds[i]}: {message}", file=sys.stderr)
             continue
         records.append(rec)
@@ -328,20 +318,21 @@ def _sweep(cfg: ExperimentConfig, task, label: str, prefix: str = "") -> list:
     capped = sum(r.termination_reason == TERMINATED_CAP for r in records)
     print(f"{label}: {len(records)}/{cfg.seeds} runs succeeded, {capped} at the generation cap,"
           f" results in {cfg.out}")
-    return records
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    records = _sweep(cfg, resolve_task(cfg.task), "sweep")
     if not records:
-        return EXIT_ERROR
+        raise RuntimeError(f"all runs failed for npop={cfg.npop}")
     return EXIT_OK if len(records) == cfg.seeds else EXIT_FLAGGED
 
 
-def _fit_step(cfg: ExperimentConfig, eps, q, bins: int, name: str, **source):
-    """Bin ``(eps, q)`` into ``bins`` equal-count bins (0 fits the raw points),
-    fit, write ``name`` in ``cfg.out``, and return the fit with its verdict
-    words ``"[NOT ]converged"`` and ``"[NOT ]identified"``."""
+def cmd_sweep(cfg: ExperimentConfig) -> int:
+    return _sweep(cfg, resolve_task(cfg.task), "sweep")
+
+
+def _fit_step(cfg: ExperimentConfig, path, bins: int, name: str, label: str, **source) -> int:
+    """Fit the points :func:`files.read_points_csv` reads from ``path``, put
+    in ``bins`` equal-count bins first (0 fits them raw), write ``name`` in
+    ``cfg.out``, print the verdict line led by ``label`` and return the exit
+    code: flagged unless the fit converged and is identified."""
+    eps, q = files.read_points_csv(path)
     if bins > 0:
         eps, q = analysis.quantile_bins(eps, q, bins)
     fit = analysis.fit_exponential(eps, q)
@@ -349,50 +340,38 @@ def _fit_step(cfg: ExperimentConfig, eps, q, bins: int, name: str, **source):
     files.write_csv(os.path.join(cfg.out, name), meta, (
         "a,b,c,a_err,b_err,c_err,rss,converged",
         [(fit.a, fit.b, fit.c, fit.a_err, fit.b_err, fit.c_err, fit.rss, fit.converged)]))
-    return (fit, "converged" if fit.converged else "NOT converged",
-            "identified" if fit.identified else "NOT identified")
-
-
-def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
-    if bins < 0:
-        raise ValueError(f"--bins must be >= 0, got {bins}")
-    source = os.path.basename(input_path)
-    _check_utf8(f"input name {source!r}", source)
-    eps, q = files.read_points_csv(input_path)
-    fit, converged, identified = _fit_step(cfg, eps, q, bins, "fit.csv", source=source)
     print(
-        f"fit: {converged} after {fit.n_iter} iterations, {identified}: "
+        f"{label}: {'' if fit.converged else 'NOT '}converged after {fit.n_iter} iterations, "
+        f"{'' if fit.identified else 'NOT '}identified: "
         f"a = {fit.a:.4g} +- {fit.a_err:.2g}, b = {fit.b:.4g} +- {fit.b_err:.2g}, "
         f"c = {fit.c:.4g} +- {fit.c_err:.2g}"
     )
     return EXIT_OK if fit.converged and fit.identified else EXIT_FLAGGED
 
 
+def cmd_fit(cfg: ExperimentConfig, input_path: str, bins: int) -> int:
+    if bins < 0:
+        raise ValueError(f"--bins must be >= 0, got {bins}")
+    source = os.path.basename(input_path)
+    files.check_metadata(f"input name {source!r}", source)
+    return _fit_step(cfg, input_path, bins, "fit.csv", "fit", source=source)
+
+
 def cmd_reproduce(cfg: ExperimentConfig, npops: list, figure: str) -> int:
     task = resolve_task(cfg.task)
-    worst = EXIT_OK
+    codes = []
     for npop in npops:
         prefix = "fig6_" if figure == "fig6" else f"{figure}_npop{npop}_"
-        npop_cfg = replace(cfg, npop=npop)
-        records = _sweep(npop_cfg, task, f"{figure}: npop={npop}", prefix)
-        if not records:
-            raise RuntimeError(f"all runs failed for npop={npop}")
-        if len(records) < cfg.seeds:
-            worst = EXIT_FLAGGED
-        if figure != "fig7":
-            continue
-        try:  # the points `evogate fit` reads from the table just written
-            eps, q = files.read_points_csv(os.path.join(cfg.out, f"{prefix}runs.csv"))
-            fit, converged, identified = _fit_step(npop_cfg, eps, q, 20, f"{prefix}fit.csv")
-        except ValueError as exc:  # no, too few or all-equal points: this npop only
-            print(f"{figure}: npop={npop}: fit skipped: {exc}")
-            worst = EXIT_FLAGGED
-            continue
-        print(f"{figure}: npop={npop}: fit {converged}, {identified}: "
-              f"b = {fit.b:.4g} +- {fit.b_err:.2g}, c = {fit.c:.4g} +- {fit.c_err:.2g}")
-        if not (fit.converged and fit.identified):
-            worst = EXIT_FLAGGED
-    return worst
+        npop_cfg, label = replace(cfg, npop=npop), f"{figure}: npop={npop}"
+        codes.append(_sweep(npop_cfg, task, label, prefix))
+        if figure == "fig7":
+            runs = os.path.join(cfg.out, f"{prefix}runs.csv")
+            try:
+                codes.append(_fit_step(npop_cfg, runs, 20, f"{prefix}fit.csv", f"{label}: fit"))
+            except ValueError as exc:  # no, too few or all-equal points: this npop only
+                print(f"{label}: fit skipped: {exc}")
+                codes.append(EXIT_FLAGGED)
+    return max(codes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +432,3 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -4,10 +4,12 @@ All CSV output is byte-stable: comma separators, '.' decimals, floats at 17
 significant digits, LF line endings, and a leading metadata block of a
 '# evogate <version>' line and '# key = value' comment lines; each section
 of a table is one header row and its data rows.  A JSON file leads with the
-same block as its "metadata" object.  Writers go through a temp file and an
-atomic rename so consumers never see partial output, and a failed write
-leaves neither file behind.  Which columns a table has is declared where its
-rows are built (:mod:`evogate.cli`), not here.
+same block as its "metadata" object.  A data cell's line breaks are
+written as ``\\n`` and ``\\r``, and a cell holding ',' or '"' is RFC
+4180-quoted, so a row keeps its line and its cell count.  Writers go through
+a temp file and an atomic rename so consumers never see partial output, and
+a failed write leaves neither file behind.  Which columns a table has is
+declared where its rows are built (:mod:`evogate.cli`), not here.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from . import __version__
 
 __all__ = [
+    "check_metadata",
     "fmt",
     "parse_config_text",
     "read_points_csv",
@@ -41,6 +44,27 @@ def fmt(value) -> str:
     return str(value)
 
 
+def check_metadata(what: str, value) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value``, as a metadata
+    line writes it, has a UTF-8 form (a lone surrogate has none) and no line
+    break, which would end its ``# key = value`` line early."""
+    text = fmt(value)
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{what} holds a line break")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} cannot be written as UTF-8") from None
+
+
+def _cell(value) -> str:
+    """:func:`fmt` text as a data cell (a number is never escaped)."""
+    text = fmt(value).replace("\n", "\\n").replace("\r", "\\r")
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_text(path, text: str) -> None:
     """Write a file atomically (temp file in place, then rename), creating
     its directory if need be.  If the write or the rename raises, the temp
@@ -59,12 +83,12 @@ def write_text(path, text: str) -> None:
 
 def write_csv(path, metadata: dict, *sections) -> None:
     """The metadata block, then each ``(header, rows)`` section in turn: the
-    header line as given, then one line of :func:`fmt` cells per row."""
+    header line as given, then one line of comma-separated cells per row."""
     lines = [f"# evogate {__version__}"]
     lines.extend(f"# {key} = {fmt(value)}" for key, value in metadata.items())
     for header, rows in sections:
         lines.append(header)
-        lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+        lines.extend(",".join(map(_cell, row)) for row in rows)
     write_text(path, "\n".join(lines) + "\n")
 
 

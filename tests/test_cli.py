@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import math
@@ -305,12 +306,12 @@ def test_workers_below_one_is_rejected(tmp_path, capsys, workers):
 
 
 def test_a_setting_that_cannot_be_written_fails_before_any_run(tmp_path, monkeypatch, capfd):
-    # the task path holds a lone surrogate, which has no UTF-8 form in the
-    # files' metadata: the sweep must stop before its first run, not after its last
+    # a task path holding a lone surrogate has no UTF-8 form in the files'
+    # metadata, and one holding a line break would end its metadata line early
+    # (`fit` would then read the path's tail as the header): the sweep must
+    # stop before its first run, not after its last
     # (capfd, not capsys: capsys's strict UTF-8 stdout would stop the echo first)
     monkeypatch.chdir(tmp_path)
-    name = os.fsdecode(b"t\xff.json")
-    tasks.save_task(tasks.deutsch_task(), name)
     real_run, calls = cli.ga_run, []
 
     def counting(*args):
@@ -318,10 +319,15 @@ def test_a_setting_that_cannot_be_written_fails_before_any_run(tmp_path, monkeyp
         return real_run(*args)
 
     monkeypatch.setattr(cli, "ga_run", counting)
-    assert main(["sweep", "--task", name, "--npop", "10", "--seeds", "3", "--out", "o"]) == 1
-    assert calls == []
-    assert "config key 'task' cannot be written as UTF-8" in capfd.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for name, problem in [(os.fsdecode(b"t\xff.json"), "cannot be written as UTF-8"),
+                          ("t\nq.json", "holds a line break"),
+                          ("t\rq.json", "holds a line break")]:
+        tasks.save_task(tasks.deutsch_task(), name)
+        argv = ["sweep", "--task", name, "--npop", "10", "--seeds", "3", "--out", "o"]
+        assert main(argv) == 1
+        assert calls == []
+        assert f"config key 'task' {problem}" in capfd.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_negative_horizon_is_rejected(tmp_path, capsys):
@@ -811,22 +817,29 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
 
 
 def test_failures_table_keeps_one_line_per_run(tmp_path, monkeypatch, capsys):
-    # a newline in a message is written as the two characters \n, so the
-    # error cell stays on its run's line; the warning keeps the message
+    # each line break in a message is written as its two-character escape,
+    # so the error cell stays on its run's line, and a cell holding ',' or
+    # '"' is quoted, so the row keeps its three cells; the warning keeps the
+    # message as raised
     def failing(ga_cfg, task, seed):
-        raise ValueError(f"seed {seed}\nis bad, really")
+        raise ValueError(f'seed {seed}\nis "bad",\r really')
 
     monkeypatch.setattr(cli, "ga_run", failing)
     out = tmp_path / "o"
     assert main(["reproduce", "fig6", "--npop", "12", "--seeds", "2", "--out", str(out)]) == 1
-    assert "warning: seed 1: seed 1\nis bad, really" in capsys.readouterr().err
-    lines = (out / "fig6_failures.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[-3:] == ["run_id,seed,error",
-                          "0,1,ValueError: seed 1\\nis bad, really",
-                          "1,2,ValueError: seed 2\\nis bad, really"]
+    assert 'warning: seed 1: seed 1\nis "bad",\r really' in capsys.readouterr().err
+    lines = read_bytes(out / "fig6_failures.csv").decode("utf-8").split("\n")
+    assert lines[-4:] == ["run_id,seed,error",
+                          '0,1,"ValueError: seed 1\\nis ""bad"",\\r really"',
+                          '1,2,"ValueError: seed 2\\nis ""bad"",\\r really"',
+                          ""]
+    assert list(csv.reader(lines[-4:-1])) == [
+        ["run_id", "seed", "error"],
+        ["0", "1", 'ValueError: seed 1\\nis "bad",\\r really'],
+        ["1", "2", 'ValueError: seed 2\\nis "bad",\\r really']]
 
 
-def test_sweep_all_failures_exits_nonzero(tmp_path, monkeypatch):
+def test_sweep_all_failures_exits_nonzero(tmp_path, monkeypatch, capsys):
     import evogate.cli as cli_mod
 
     def always_fail(ga_cfg, task, seed):
@@ -836,9 +849,13 @@ def test_sweep_all_failures_exits_nonzero(tmp_path, monkeypatch):
     out = tmp_path / "dead"
     rc = main(["sweep", "--npop", "12", "--seeds", "2", "--out", str(out)])
     assert rc == 1
+    assert "error: all runs failed for npop=12" in capsys.readouterr().err
     _, _, rows = read_table(out / "runs.csv")
     assert all(r["termination_reason"] == "error" for r in rows)
     assert not (out / "stats.csv").exists()
+    _, header, failures = read_table(out / "failures.csv")  # written before the error
+    assert header == ["run_id", "seed", "error"]
+    assert [f["error"] for f in failures] == ["RuntimeError: forced failure"] * 2
 
 
 def test_sweep_horizon_pads_stats(tmp_path):
@@ -1002,13 +1019,15 @@ def test_fit_without_points_fails(tmp_path, capsys, text, message):
 def test_fit_input_whose_name_cannot_be_written_fails_before_the_fit(tmp_path, monkeypatch,
                                                                      capfd):
     # the input's name goes into fit.csv's metadata as `source`; a lone
-    # surrogate there has no UTF-8 form, so the fit must not start
+    # surrogate there has no UTF-8 form and a newline would end its line
+    # early, so the fit must not start
     monkeypatch.chdir(tmp_path)
-    name = os.fsdecode(b"r\xff.csv")
-    write_points(Path(name), np.linspace(0.0, 0.2, 30), np.linspace(30.0, 15.0, 30))
-    assert main(["fit", name, "--bins", "0", "--out", "o"]) == 1
-    assert f"error: input name {name!r} cannot be written as UTF-8" in capfd.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for name, problem in [(os.fsdecode(b"r\xff.csv"), "cannot be written as UTF-8"),
+                          ("r\nq.csv", "holds a line break")]:
+        write_points(Path(name), np.linspace(0.0, 0.2, 30), np.linspace(30.0, 15.0, 30))
+        assert main(["fit", name, "--bins", "0", "--out", "o"]) == 1
+        assert f"error: input name {name!r} {problem}" in capfd.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------------- reproduce
@@ -1048,13 +1067,19 @@ def test_reproduce_fig7_smoke(tmp_path):
 
 def test_reproduce_fig7_fits_the_points_that_fit_reads(tmp_path, capsys):
     # fig7 fits what `evogate fit` reads back from the runs table it wrote:
-    # the converged runs only, with the same fit in the same bytes
+    # the converged runs only, with the same fit in the same bytes and the
+    # same verdict line behind each one's label
     out, fit_dir = tmp_path / "fig7", tmp_path / "fit"
-    assert main(["reproduce", "fig7", "--npop", "10", "--seeds", "30", "--max-gen", "15",
-                 "--out", str(out)]) in (0, 2)
+    fig7_rc = main(["reproduce", "fig7", "--npop", "10", "--seeds", "30", "--max-gen", "15",
+                    "--out", str(out)])
+    assert fig7_rc in (0, 2)
+    fig7_out = capsys.readouterr().out.splitlines()
     assert (f"fig7: npop=10: 30/30 runs succeeded, 25 at the generation cap, results in {out}"
-            in capsys.readouterr().out.splitlines())
-    assert main(["fit", str(out / "fig7_npop10_runs.csv"), "--out", str(fit_dir)]) in (0, 2)
+            in fig7_out)
+    assert main(["fit", str(out / "fig7_npop10_runs.csv"), "--out", str(fit_dir)]) == fig7_rc
+    fit_line = capsys.readouterr().out.splitlines()[-1]
+    assert fit_line.startswith("fit: ") and " iterations, " in fit_line
+    assert fig7_out[-1] == "fig7: npop=10: " + fit_line  # fig7's label, then fit's line
     fig7_rows = read_bytes(out / "fig7_npop10_fit.csv").splitlines()
     fit_rows = read_bytes(fit_dir / "fit.csv").splitlines()
     assert b"# n_points = 5" in fig7_rows and b"# n_points = 5" in fit_rows
