@@ -6,8 +6,8 @@ fit of a results table), and ``reproduce`` (the canned figure-data
 pipelines).  Settings come from built-in defaults, then a figure's presets
 (``reproduce`` only), then an optional flat ``key = value`` config file, then
 command-line flags; the effective config is echoed to stdout and into every
-output file's metadata block.  Each output's columns are declared here, in the
-call that writes its rows; :mod:`evogate.files` holds only the byte format.
+output file's metadata block.  Each table's columns are declared here, where
+its rows are written or read; :mod:`evogate.files` holds only the byte format.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with flags
 (generation-cap stop, a sweep with a failed or lost run, or a fit that did
@@ -327,12 +327,44 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return _sweep(cfg, resolve_task(cfg.task), "sweep")
 
 
+def read_points(path):
+    """The (eps, q) points in the ``epsilon_opt``/``q_c`` or ``epsilon``/``q``
+    columns of the table at ``path``, less failed runs (a non-finite value) and,
+    given a ``termination_reason`` column, runs that did not converge.  A short,
+    long or unparsable row raises ``ValueError("<path>: data row N: ...")``."""
+    table = files.read_table(path)
+    if not table:
+        raise ValueError(f"{path}: no data rows")
+    header, rows = table[0], table[1:]
+    pairs = [p for p in (("epsilon_opt", "q_c"), ("epsilon", "q")) if set(p) <= set(header)]
+    if not pairs:
+        raise ValueError(f"{path}: expected columns epsilon_opt/q_c or epsilon/q, got {header}")
+    ei, qi = map(header.index, pairs[0])
+    # a run stopped at the generation cap has no q_c of its own: the cap's
+    ri = header.index("termination_reason") if "termination_reason" in header else None
+    eps, q = [], []
+    for n, cells in enumerate(rows, start=1):
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
+            e_val, q_val = float(cells[ei]), float(cells[qi])
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {n}: {exc}") from None
+        converged = ri is None or cells[ri] == TERMINATED_CONVERGED
+        if converged and math.isfinite(e_val) and math.isfinite(q_val):  # a failed run writes nan
+            eps.append(e_val)
+            q.append(q_val)
+    if not eps:
+        raise ValueError(f"{path}: no usable data points")
+    return np.array(eps), np.array(q)
+
+
 def _fit_step(cfg: ExperimentConfig, path, bins: int, name: str, label: str, **source) -> int:
-    """Fit the points :func:`files.read_points_csv` reads from ``path``, put
+    """Fit the points :func:`read_points` reads from ``path``, put
     in ``bins`` equal-count bins first (0 fits them raw), write ``name`` in
     ``cfg.out``, print the verdict line led by ``label`` and return the exit
     code: flagged unless the fit converged and is identified."""
-    eps, q = files.read_points_csv(path)
+    eps, q = read_points(path)
     if bins > 0:
         eps, q = analysis.quantile_bins(eps, q, bins)
     fit = analysis.fit_exponential(eps, q)

@@ -1,4 +1,4 @@
-"""Byte format of the result files, and the readers of config and tables.
+"""Byte format of the result files, and the parsers of config and tables.
 
 All CSV output is byte-stable: comma separators, '.' decimals, floats at 17
 significant digits, LF line endings, and a leading metadata block of a
@@ -8,12 +8,14 @@ same block as its "metadata" object.  A data cell's line breaks are
 written as ``\\n`` and ``\\r``, and a cell holding ',' or '"' is RFC
 4180-quoted, so a row keeps its line and its cell count.  Writers go through
 a temp file and an atomic rename so consumers never see partial output, and
-a failed write leaves neither file behind.  Which columns a table has is
-declared where its rows are built (:mod:`evogate.cli`), not here.
+a failed write leaves neither file behind.  A table is parsed into rows of
+cells; which columns it has is declared in :mod:`evogate.cli`, not here.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import json
 import os
 from contextlib import suppress
@@ -26,7 +28,7 @@ __all__ = [
     "check_metadata",
     "fmt",
     "parse_config_text",
-    "read_points_csv",
+    "read_table",
     "write_csv",
     "write_json",
     "write_text",
@@ -100,49 +102,15 @@ def write_json(path, metadata: dict, payload: dict) -> None:
     write_text(path, json.dumps(document, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
-def read_points_csv(path):
-    """Load (eps, q) pairs from a CSV with '#' metadata lines.
-
-    Accepts either a sweep summary table (columns ``epsilon_opt`` and ``q_c``)
-    or a plain two-column table named ``epsilon`` and ``q``.  A data row with
-    the wrong cell count or an unparsable ``eps`` or ``q`` raises
-    ``ValueError("<path>: data row N: ...")``, N counting from 1 after the
-    header; a row with a non-finite value (a failed run) is skipped, and so
-    is, in a table with a ``termination_reason`` column, a run that did not
-    converge.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    header = lines[0].split(",")
-    for eps_col, q_col in (("epsilon_opt", "q_c"), ("epsilon", "q")):
-        if eps_col in header and q_col in header:
-            ei, qi = header.index(eps_col), header.index(q_col)
-            break
-    else:
-        raise ValueError(
-            f"{path}: expected columns epsilon_opt/q_c or epsilon/q, got {header}"
-        )
-    # a run stopped at the generation cap has no q_c of its own: the cap's
-    ri = header.index("termination_reason") if "termination_reason" in header else None
-    eps, q = [], []
-    for n, ln in enumerate(lines[1:], start=1):
-        cells = ln.split(",")
+def read_table(path) -> list:
+    """The rows of a CSV table (RFC 4180, as :mod:`csv` reads it), header
+    first; '#' lines, blank lines and a leading byte-order mark are skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = itertools.chain([fh.readline().removeprefix("\ufeff")], fh)
         try:
-            if len(cells) != len(header):
-                raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
-            e_val, q_val = float(cells[ei]), float(cells[qi])
-        except ValueError as exc:
-            raise ValueError(f"{path}: data row {n}: {exc}") from None
-        if ri is not None and cells[ri] != "converged":  # ga.TERMINATED_CONVERGED
-            continue
-        if np.isfinite(e_val) and np.isfinite(q_val):  # a failed run writes nan
-            eps.append(e_val)
-            q.append(q_val)
-    if not eps:
-        raise ValueError(f"{path}: no usable data points")
-    return np.array(eps), np.array(q)
+            return list(csv.reader(ln for ln in lines if ln.strip() and not ln.startswith("#")))
+        except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:

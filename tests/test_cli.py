@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import textwrap
@@ -897,6 +898,34 @@ def test_fit_recovers_synthetic_model(tmp_path, capsys):
     assert meta["bins"] == "0"
 
 
+@pytest.mark.parametrize("variant", ["quoted labels", "byte-order mark"])
+def test_fit_reads_any_rfc4180_table(tmp_path, capsys, variant):
+    # the same points fit alike from a table whose extra column the csv
+    # module quotes ("a,b", "d""e"), or from one led by a byte-order mark
+    eps = np.linspace(0.0, 0.2, 30)
+    q = 16.0 * np.exp(-22.0 * eps) + 15.0 + 0.05 * np.sin(40.0 * eps)
+    write_points(tmp_path / "plain.csv", eps, q)
+    src = tmp_path / "variant.csv"
+    if variant == "quoted labels":
+        labels = ["a,b", 'd"e', "f"] * 10
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("label", "epsilon", "q"),
+                                      *zip(labels, eps.tolist(), q.tolist())])
+        assert '"a,b",' in src.read_text() and '"d""e",' in src.read_text()
+    else:
+        lines = ["epsilon,q"] + [f"{e!r},{v!r}" for e, v in zip(eps.tolist(), q.tolist())]
+        src.write_bytes(("\ufeff" + "\n".join(lines) + "\n").encode("utf-8"))
+    verdicts, fitted = [], []
+    for name in ("plain.csv", "variant.csv"):
+        out = tmp_path / f"fit_{name}"
+        assert main(["fit", str(tmp_path / name), "--bins", "0", "--out", str(out)]) == 0
+        verdicts.append(capsys.readouterr().out.splitlines()[-1])
+        meta, _, rows = read_table(out / "fit.csv")
+        fitted.append((meta["n_points"], rows))
+    assert verdicts[0] == verdicts[1] and verdicts[0].startswith("fit: converged after")
+    assert fitted[0] == fitted[1] and fitted[0][0] == "30"
+
+
 def test_fit_applies_quantile_binning(tmp_path):
     rng = np.random.default_rng(0)
     eps = np.sort(rng.uniform(0, 0.2, 200))
@@ -944,7 +973,7 @@ def test_fit_too_few_points(tmp_path):
 def test_fit_reads_sweep_summaries(tmp_path, capsys):
     out = tmp_path / "sweep_for_fit"
     assert main(["sweep", "--npop", "20", "--seeds", "6", "--out", str(out)]) == 0
-    eps, q = files.read_points_csv(out / "runs.csv")
+    eps, q = cli.read_points(out / "runs.csv")
     assert eps.shape == q.shape == (6,)
     assert np.all(q >= 1)
     # fit.csv names the table it fitted
@@ -963,7 +992,7 @@ def test_fit_reads_sweep_summaries(tmp_path, capsys):
     # stdout counts the cap stops, which the exit code does not flag
     assert (f"sweep: 30/30 runs succeeded, {len(rows) - len(done)} at the generation cap, "
             f"results in {capped}") in capsys.readouterr().out.splitlines()
-    eps, q = files.read_points_csv(capped / "runs.csv")
+    eps, q = cli.read_points(capped / "runs.csv")
     assert eps.tolist() == [float(r["epsilon_opt"]) for r in done]
     assert q.tolist() == [float(r["q_c"]) for r in done]
     assert main(["fit", str(capped / "runs.csv"), "--bins", "0", "--out", str(fit_dir)]) in (0, 2)
@@ -992,11 +1021,11 @@ def test_fit_rejects_a_short_row_and_joined_tables(tmp_path, capsys):
 def test_read_points_skips_failed_runs_and_rejects_unparsable_values(tmp_path):
     src = tmp_path / "points.csv"
     src.write_text("epsilon,q\n0.1,20\nnan,0\n0.2,18\n")
-    eps, q = files.read_points_csv(src)
+    eps, q = cli.read_points(src)
     assert eps.tolist() == [0.1, 0.2] and q.tolist() == [20.0, 18.0]
     src.write_text("epsilon,q\n0.1,20\n0.2,x\n")
     with pytest.raises(ValueError, match="data row 2: could not convert"):
-        files.read_points_csv(src)
+        cli.read_points(src)
 
 
 def test_fit_missing_input(tmp_path):
@@ -1006,6 +1035,9 @@ def test_fit_missing_input(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("# metadata only\n# npop = 10\n", "no data rows"),
     ("epsilon,q\nnan,3\n0.1,nan\nnan,nan\n", "no usable data points"),
+    # the csv module refuses a cell this long: an error line, not a traceback
+    pytest.param("epsilon,q\n0.1," + "9" * (csv.field_size_limit() + 1) + "\n",
+                 "field larger than field limit", id="cell over the csv field limit"),
 ])
 def test_fit_without_points_fails(tmp_path, capsys, text, message):
     src = tmp_path / "points.csv"
@@ -1129,7 +1161,27 @@ def test_read_points_requires_known_columns(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
-        files.read_points_csv(bad)
+        cli.read_points(bad)
+
+
+def test_read_table_inverts_write_csv(tmp_path):
+    # each cell reads back as files._cell wrote it (a line break as its
+    # two-character escape), one row per written row; U+2028 and U+0085 are
+    # line breaks to str.splitlines, not to a CSV row
+    pieces = [",", '"', '""', "\n", "\r", " ", "  ", "", "x", "0.5", "é", "日本",
+              "\u2028", "\x85", "\x0c"]
+    path = tmp_path / "cells.csv"
+    for seed in range(20):
+        rnd = random.Random(seed)
+        n_cols = 2 + seed % 4
+        rows = [["".join(rnd.choices(pieces, k=rnd.randrange(5))) for _ in range(n_cols)]
+                for _ in range(50)]
+        header = ",".join(f"c{j}" for j in range(n_cols))
+        files.write_csv(path, {"seed": seed}, (header, rows))
+        table = files.read_table(path)
+        assert table[0] == header.split(",")
+        assert table[1:] == [[c.replace("\n", "\\n").replace("\r", "\\r") for c in row]
+                             for row in rows], seed
 
 
 def test_a_failed_write_leaves_no_temp_file(tmp_path):
