@@ -414,26 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"evogate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value settings file")
-        for f in fields(ExperimentConfig):
-            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                           help=f.metadata["help"])
-
-    add_common(sub.add_parser("run", help="one seeded search"))
-    add_common(sub.add_parser("sweep", help="an ensemble of seeded searches"))
-
-    p_fit = sub.add_parser("fit", help="exponential fit of (epsilon, q) data")
+    settings = argparse.ArgumentParser(add_help=False)  # the flags of every subcommand
+    settings.add_argument("--config", help="flat key = value settings file")
+    for f in fields(ExperimentConfig):
+        settings.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                              help=f.metadata["help"])
+    sub.add_parser("run", parents=[settings], help="one seeded search")
+    sub.add_parser("sweep", parents=[settings], help="an ensemble of seeded searches")
+    p_fit = sub.add_parser("fit", parents=[settings], help="exponential fit of (epsilon, q) data")
     p_fit.add_argument("input", help="CSV with epsilon_opt/q_c (or epsilon/q) columns")
     p_fit.add_argument("--bins", type=int, default=20,
                        help="equal-count bins before fitting (0 = fit raw points)")
-    add_common(p_fit)
-
-    p_rep = sub.add_parser("reproduce", help="canned figure-data pipelines")
+    p_rep = sub.add_parser("reproduce", parents=[settings], help="canned figure-data pipelines")
     p_rep.add_argument("figure", choices=sorted(_FIGURES))
-    add_common(p_rep)
-
     return parser
 
 

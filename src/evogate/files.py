@@ -8,8 +8,8 @@ same block as its "metadata" object.  A data cell's line breaks are
 written as ``\\n`` and ``\\r``, and a cell holding ',' or '"' is RFC
 4180-quoted, so a row keeps its line and its cell count.  Writers go through
 a temp file and an atomic rename so consumers never see partial output, and
-a failed write leaves neither file behind.  A table is parsed into rows of
-cells; which columns it has is declared in :mod:`evogate.cli`, not here.
+a failed write leaves neither file behind.  A reader skips '#' lines only in
+a table's metadata block; :mod:`evogate.cli` declares each table's columns.
 """
 
 from __future__ import annotations
@@ -104,11 +104,14 @@ def write_json(path, metadata: dict, payload: dict) -> None:
 
 def read_table(path) -> list:
     """The rows of a CSV table (RFC 4180, as :mod:`csv` reads it), header
-    first; '#' lines, blank lines and a leading byte-order mark are skipped."""
+    first.  A leading byte-order mark, and '#' and blank lines up to the
+    header (the metadata block), are skipped; from the header on, the CSV
+    reader alone ends each row, and only blank rows are dropped."""
     with open(path, encoding="utf-8", newline="") as fh:
         lines = itertools.chain([fh.readline().removeprefix("\ufeff")], fh)
+        body = itertools.dropwhile(lambda ln: not ln.strip() or ln.startswith("#"), lines)
         try:
-            return list(csv.reader(ln for ln in lines if ln.strip() and not ln.startswith("#")))
+            return [row for row in csv.reader(body) if len(row) > 1 or row and row[0].strip()]
         except csv.Error as exc:  # a cell over csv.field_size_limit(), say
             raise ValueError(f"{path}: {exc}") from None
 

@@ -217,6 +217,8 @@ def test_quantile_bins():
     assert np.array_equal(qb, q)
     with pytest.raises(ValueError):
         quantile_bins(eps, q, n_bins=0)
+    with pytest.raises(ValueError, match="equal length"):
+        quantile_bins(eps, q[:3])
 
 
 # --------------------------------------------------------------- curve fit

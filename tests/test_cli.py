@@ -257,6 +257,7 @@ def test_run_accepts_task_file(tmp_path):
 
 
 NAN_KET = [[math.nan, 0.0], [0.0, 0.0]]
+MISSING = object()  # the field is left out of the file
 
 
 @pytest.mark.parametrize("field, value", [
@@ -270,10 +271,17 @@ NAN_KET = [[math.nan, 0.0], [0.0, 0.0]]
     ("dim", 2.7),
     ("slots", [{"kind": "trainable", "index": 1.9}, {"kind": "oracle"},
                {"kind": "trainable", "index": 2}]),
+    ("dim", MISSING), ("pairs", []),
+    ("slots", [{"kind": "trainable", "index": 1.5}, {"kind": "oracle"},
+               {"kind": "trainable", "index": 2}]),
+    ("slots", [{"kind": "trainable", "index": 1}, {"kind": "mystery"},
+               {"kind": "trainable", "index": 2}]),
 ])
 def test_run_rejects_a_mistyped_task_file(tmp_path, field, value):
     data = tasks.task_to_dict(tasks.deutsch_task())
     data[field] = value
+    if value is MISSING:
+        del data[field]
     task_path = tmp_path / "bad.json"
     task_path.write_text(json.dumps(data), encoding="utf-8")
     out = tmp_path / "o"
@@ -467,6 +475,26 @@ def test_sweep_on_a_qutrit_task_file(tmp_path):
         assert float(score) == float(row["best_fitness"])
     assert (out / "stats.csv").exists()
     assert not (out / "alpha_phi.csv").exists()
+
+
+def test_run_on_a_qutrit_task_file(tmp_path):
+    # a d = 3 run's analysis has no Bloch rotations, prepared state or decision
+    task_path = tmp_path / "qutrit.json"
+    tasks.save_task(_qutrit_task(), task_path)
+    out = tmp_path / "o"
+    assert main(["run", "--task", str(task_path), "--npop", "12", "--max-gen", "30",
+                 "--out", str(out)]) == 2
+    side = json.loads((out / "analysis_1.json").read_text())
+    assert list(side) == ["metadata", "seed", "q_c", "termination_reason", "best_fitness",
+                          "epsilon_opt", "rounding_bound"]
+    assert side["termination_reason"] == "generation-cap"
+    # the genome file re-scores to the run's fitness exactly, as at d = 2
+    meta = side["metadata"]
+    codec = genome.CodecConfig(depth=meta["depth"], half_range=meta["half_range"])
+    slots = json.loads((out / "genome_1.json").read_text())["slots"]
+    params = genome.decode(genome.genome_from_strings(slots), codec)
+    score = tasks.population_fitness(tasks.load_task(task_path), params)
+    assert float(score) == side["best_fitness"]
 
 
 def _usable_cpus(monkeypatch, n):
@@ -898,23 +926,25 @@ def test_fit_recovers_synthetic_model(tmp_path, capsys):
     assert meta["bins"] == "0"
 
 
-@pytest.mark.parametrize("variant", ["quoted labels", "byte-order mark"])
+@pytest.mark.parametrize("variant", ["quoted labels", "multi-line labels", "byte-order mark"])
 def test_fit_reads_any_rfc4180_table(tmp_path, capsys, variant):
     # the same points fit alike from a table whose extra column the csv
-    # module quotes ("a,b", "d""e"), or from one led by a byte-order mark
+    # module quotes ("a,b", "d""e"; a line break, after which a line may
+    # start with '#' or be blank), or from one led by a byte-order mark
     eps = np.linspace(0.0, 0.2, 30)
     q = 16.0 * np.exp(-22.0 * eps) + 15.0 + 0.05 * np.sin(40.0 * eps)
     write_points(tmp_path / "plain.csv", eps, q)
     src = tmp_path / "variant.csv"
-    if variant == "quoted labels":
-        labels = ["a,b", 'd"e', "f"] * 10
-        with open(src, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows([("label", "epsilon", "q"),
-                                      *zip(labels, eps.tolist(), q.tolist())])
-        assert '"a,b",' in src.read_text() and '"d""e",' in src.read_text()
-    else:
+    if variant == "byte-order mark":
         lines = ["epsilon,q"] + [f"{e!r},{v!r}" for e, v in zip(eps.tolist(), q.tolist())]
         src.write_bytes(("\ufeff" + "\n".join(lines) + "\n").encode("utf-8"))
+    else:
+        labels = ["a,b", 'd"e', "f"] if variant == "quoted labels" else ["a\n#b", "c\n\nd", "f"]
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("label", "epsilon", "q"),
+                                      *zip(labels * 10, eps.tolist(), q.tolist())])
+        quoted = ['"a,b",', '"d""e",'] if variant == "quoted labels" else ['"a\n#b",', '"c\n\nd",']
+        assert all(cell in src.read_text() for cell in quoted)
     verdicts, fitted = [], []
     for name in ("plain.csv", "variant.csv"):
         out = tmp_path / f"fit_{name}"
@@ -924,6 +954,19 @@ def test_fit_reads_any_rfc4180_table(tmp_path, capsys, variant):
         fitted.append((meta["n_points"], rows))
     assert verdicts[0] == verdicts[1] and verdicts[0].startswith("fit: converged after")
     assert fitted[0] == fitted[1] and fitted[0][0] == "30"
+
+
+def test_fit_keeps_a_data_row_whose_first_cell_starts_with_a_hash(tmp_path, capsys):
+    # '#' lines are skipped only above the header: below it "#7" is a label
+    src = tmp_path / "labelled.csv"
+    eps = [0.0, 0.05, 0.1, 0.2]
+    files.write_csv(src, {"source": "outside"}, ("label,epsilon,q", [
+        (label, e, 16.0 * math.exp(-22.0 * e) + 15.0) for label, e in zip(["#7", 8, 9, 10], eps)]))
+    assert src.read_text().splitlines()[3].startswith("#7,")
+    out = tmp_path / "o"
+    assert main(["fit", str(src), "--bins", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("fit: converged after")
+    assert "# n_points = 4" in (out / "fit.csv").read_text().splitlines()
 
 
 def test_fit_applies_quantile_binning(tmp_path):
@@ -1000,8 +1043,9 @@ def test_fit_reads_sweep_summaries(tmp_path, capsys):
 
 
 def test_fit_rejects_a_short_row_and_joined_tables(tmp_path, capsys):
-    # neither table may be fitted in part: a cut-short row 7 used to end the
-    # table after 6 points, and a second table's header used to end the first
+    # neither table may be fitted in part: a cut-short row 7 is an error, and
+    # so is a second table, as only the leading metadata block is skipped:
+    # the second table's '# evogate' line is data row 13
     out = tmp_path / "sweep"
     assert main(["sweep", "--npop", "10", "--seeds", "12", "--out", str(out)]) == 0
     table = (out / "runs.csv").read_text()
@@ -1014,7 +1058,7 @@ def test_fit_rejects_a_short_row_and_joined_tables(tmp_path, capsys):
     assert main(["fit", str(out / "cut.csv"), "--out", str(tmp_path / "o")]) == 1
     assert "cut.csv: data row 7: expected 7 cells, got 5" in capsys.readouterr().err
     assert main(["fit", str(out / "joined.csv"), "--out", str(tmp_path / "o")]) == 1
-    assert "joined.csv: data row 13: could not convert" in capsys.readouterr().err
+    assert "joined.csv: data row 13: expected 7 cells, got 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1176,6 +1220,8 @@ def test_read_table_inverts_write_csv(tmp_path):
         n_cols = 2 + seed % 4
         rows = [["".join(rnd.choices(pieces, k=rnd.randrange(5))) for _ in range(n_cols)]
                 for _ in range(50)]
+        for row in rows[::3]:  # a data row may start with '#': it is no comment
+            row[0] = "#" + row[0]
         header = ",".join(f"c{j}" for j in range(n_cols))
         files.write_csv(path, {"seed": seed}, (header, rows))
         table = files.read_table(path)

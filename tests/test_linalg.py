@@ -65,6 +65,8 @@ def test_unitarity_for_random_params(d):
 def test_unitary_rejects_wrong_length():
     with pytest.raises(ValueError):
         linalg.unitary_from_params(np.zeros(4), 2)
+    with pytest.raises(ValueError, match="expected 3 parameters, got 4"):
+        linalg.su2_closed_form(np.zeros((5, 4)))
 
 
 def test_su2_closed_form_matches_eigendecomposition():

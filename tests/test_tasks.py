@@ -272,6 +272,8 @@ def test_compose_total_shape_check():
     task = deutsch_task()
     with pytest.raises(ValueError):
         compose_total(task, genome.decode(np.zeros((1, 3), dtype=np.int64), CODEC), "const0")
+    with pytest.raises(ValueError, match="got 1 batch axes"):  # a population, not one candidate
+        compose_total(task, genome.decode(random_genomes(4, seed=7), CODEC), "const0")
 
 
 def test_template_supports_repeated_oracle_slots():
@@ -297,6 +299,11 @@ def test_decision_outcome_identical_outputs():
     out = np.array([1.0, 1.0j]) / np.sqrt(2.0)
     _, _, defect = decision_outcome(out, out)
     assert abs(defect - 1.0) <= 1e-12
+
+
+def test_decision_outcome_rejects_outputs_of_different_shapes():
+    with pytest.raises(ValueError, match="output shapes do not match"):
+        decision_outcome(KET0, np.zeros(3))
 
 
 def test_decision_outcome_range():
