@@ -12,14 +12,20 @@ mutation), which makes every run a pure function of (config, task, seed).
 
 The draws each step makes, in order, and how they act on the codes are
 stated in README "Determinism and randomness", which
-``tests/test_contract_port.py`` checks with a scalar port.
+``tests/test_contract_port.py`` checks with a scalar port.  A run reads its
+breeding draws ahead through :class:`Draws`, ``BLOCK_GENERATIONS``
+generations per call on each stream: every generation gets the values the
+per-generation calls would return, in the same order, while the streams
+themselves run ahead of the generation being bred.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here puts the load in the CLI
@@ -31,6 +37,7 @@ from .genome import CodecConfig
 from .tasks import TaskSpec, population_fitness
 
 __all__ = [
+    "Draws",
     "GAConfig",
     "Population",
     "RngStreams",
@@ -47,6 +54,9 @@ STREAM_LABELS = ("init", "selection", "crossover", "mutation")
 
 TERMINATED_CONVERGED = "converged"
 TERMINATED_CAP = "generation-cap"
+
+# generations of breeding draws that each stream gives per call
+BLOCK_GENERATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -167,20 +177,19 @@ def _rank_bounds(n_pop: int) -> np.ndarray:
     return bounds
 
 
-def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
-    """Ranks of ``n_pairs`` parent pairs under rank selection, shape ``(n_pairs, 2)``.
+def _walk_pairs(n_pairs: int, take: Callable[[int], list[int]]) -> np.ndarray:
+    """Ranks of ``n_pairs`` parent pairs, shape ``(n_pairs, 2)``, from the
+    ranks that ``take(k)`` hands out ``k`` at a time, in order.
 
-    Each pair is a first rank and a second rank redrawn until it differs
-    from the first, one double per rank draw.  Draws come in blocks of the
-    fewest doubles the remaining pairs still need, so the stream ends where
-    drawing the ranks one at a time would leave it.  Each block is walked
-    once.
+    Each pending first rank pairs with the next rank that differs from it.
+    ``take`` is asked for the fewest ranks the remaining pairs still need,
+    so it hands out no rank past the last pair.
     """
-    bounds, need = _rank_bounds(n_pop), 2 * n_pairs
+    need = 2 * n_pairs
     flat = []  # ranks of the pairs made so far, first and second alternating
     first = None
     while need:
-        for rank in np.searchsorted(bounds, rng.random(need), side="right").tolist():
+        for rank in take(need):
             if first is None:
                 first = rank
             elif rank != first:
@@ -188,6 +197,67 @@ def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
                 first = None
         need = 2 * n_pairs - len(flat) - (first is not None)
     return np.array(flat, dtype=np.intp).reshape(n_pairs, 2)
+
+
+def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
+    """Ranks of ``n_pairs`` parent pairs under rank selection, shape ``(n_pairs, 2)``.
+
+    Each pair is a first rank and a second rank redrawn until it differs
+    from the first, one double of ``rng`` per rank draw.  Draws come in
+    blocks of the fewest doubles the remaining pairs still need, so the
+    stream ends where drawing the ranks one at a time would leave it.  A
+    run walks its pre-drawn ranks (:class:`Draws`) the same way.
+    """
+    bounds = _rank_bounds(n_pop)
+    return _walk_pairs(
+        n_pairs, lambda k: np.searchsorted(bounds, rng.random(k), side="right").tolist())
+
+
+class Draws:
+    """The breeding draws of one run, read ahead from its streams, for
+    genomes of ``genome_shape`` ``(slots, components)``.
+
+    Each stream is drawn ``BLOCK_GENERATIONS`` generations per call, never
+    past the generation cap, and each generation takes the next values in
+    draw order: parent ranks from a pool of selection doubles (``2 * P``
+    per generation, ``P`` the pairs bred; redraws make the pool draw its
+    next block early), swap masks from one crossover block and packed flips
+    from one mutation block.  A generation so reads exactly the
+    values of the per-generation calls in README "Determinism and
+    randomness"; values drawn past a run's last generation are dropped with
+    its streams.
+    """
+
+    def __init__(self, streams: RngStreams, cfg: GAConfig, genome_shape: tuple[int, int]):
+        shape = ((cfg.n_pop - cfg.elitism + 1) // 2, *genome_shape)  # (P, slots, components)
+        bounds = _rank_bounds(cfg.n_pop)
+        size = 2 * shape[0] * min(BLOCK_GENERATIONS, max(cfg.max_generations - 1, 1))
+        # with no pairs to breed (elitism == n_pop) a block is empty, which ends the pool
+        pool = chain.from_iterable(iter(
+            lambda: np.searchsorted(bounds, streams.selection.random(size), side="right").tolist(),
+            []))
+        # ranks(k): the next k parent ranks
+        self.ranks = lambda k: list(islice(pool, k))
+        # breeding(): the next generation's swap masks and packed flips
+        self.breeding = _breeding_blocks(streams, cfg, shape).__next__
+
+
+def _breeding_blocks(streams: RngStreams, cfg: GAConfig, shape: tuple[int, int, int]):
+    """Yield each generation's swap masks ``(P, slots, components)`` and
+    packed flips ``(P, 2, slots, components)``, or None at a zero rate, for
+    the ``max_generations - 1`` generations a run can breed."""
+    masks = _segment_masks(cfg.codec.depth)
+    n_pairs, *chromosome = shape
+    left = cfg.max_generations - 1
+    while left > 0:
+        g = min(BLOCK_GENERATIONS, left)
+        left -= g
+        picks = streams.crossover.integers(0, len(masks), size=(g, *shape))
+        flips = repeat(None)  # a zero rate draws nothing
+        if cfg.mutation_rate > 0:
+            genes = streams.mutation.random((g, n_pairs, 2, *chromosome, cfg.codec.depth))
+            flips = genome_mod.pack(genes < cfg.mutation_rate)
+        yield from zip(masks.take(picks), flips)
 
 
 def fitness_fluctuation(fitness: np.ndarray, mean: float) -> float:
@@ -206,7 +276,7 @@ def evaluate(codes: np.ndarray, task: TaskSpec, codec: CodecConfig) -> Populatio
 
 
 def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
-                    streams: RngStreams) -> Population:
+                    draws: Draws) -> Population:
     """Breed, score, and sort the successor population.
 
     The top ``elitism`` individuals are copied unchanged.  The other
@@ -215,23 +285,23 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     segment per chromosome (so each pair yields kids a and b that conserve
     the parents' genes position by position), flip each gene with
     probability ``mutation_rate``.  Children go pair-major, kid a before
-    kid b; an odd count discards the last kid b.  README "Determinism
-    and randomness" gives the draws and how they act on the codes.
+    kid b; an odd count discards the last kid b.  The ranks, swap masks and
+    flips are the next generation's values of ``draws``; README
+    "Determinism and randomness" gives the calls they equal and how they
+    act on the codes.
     """
     codes = pop.genomes
     n_bred = cfg.n_pop - cfg.elitism
     n_pairs = (n_bred + 1) // 2
-    parents = select_parents(cfg.n_pop, n_pairs, streams.selection)
-    masks = _segment_masks(cfg.codec.depth)
-    picks = streams.crossover.integers(0, len(masks), size=(n_pairs, *codes.shape[1:]))
+    parents = _walk_pairs(n_pairs, draws.ranks)
+    masks, flips = draws.breeding()
     kids = codes.take(parents, axis=0)  # (n_pairs, 2, slots, components)
     # swapping a segment flips both kids wherever the parents differ inside it
     swap = kids[:, 0] ^ kids[:, 1]
-    swap &= masks.take(picks)
+    swap &= masks
     kids ^= swap[:, None]
-    if cfg.mutation_rate > 0:
-        flips = streams.mutation.random((*kids.shape, cfg.codec.depth)) < cfg.mutation_rate
-        kids ^= genome_mod.pack(flips)
+    if flips is not None:
+        kids ^= flips
     kids = kids.reshape(2 * n_pairs, *codes.shape[1:])[:n_bred]
     genomes = np.concatenate([codes[: cfg.elitism], kids]) if cfg.elitism else kids
     return evaluate(genomes, task, cfg.codec)
@@ -247,7 +317,8 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     generations, so the initial random population is generation 1.  The
     initial genomes are one uint8 draw of shape (n_pop, task.n_slots,
     task.n_components, depth) from the init stream, fixed here so ports can
-    match run for run, packed once into codes.
+    match run for run, packed once into codes.  Breeding reads the other
+    three streams through one :class:`Draws`.
     """
     streams = RngStreams.from_seed(seed)
     bits = streams.init.integers(
@@ -255,6 +326,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         dtype=np.uint8,
     )
     pop = evaluate(genome_mod.pack(bits), task, cfg.codec)
+    draws = Draws(streams, cfg, (task.n_slots, task.n_components))
 
     means, flucts, bests = [], [], []
     generation = 0
@@ -272,7 +344,7 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         if generation >= cfg.max_generations:
             reason = TERMINATED_CAP
             break
-        pop = next_generation(pop, cfg, task, streams)
+        pop = next_generation(pop, cfg, task, draws)
 
     best = bests[-1]
     return RunRecord(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 
 from evogate import ga, genome, tasks
 from evogate.ga import GAConfig, Population, RngStreams
@@ -16,6 +17,11 @@ def make_config(n_pop=20, **kw):
     defaults = dict(n_pop=n_pop, threshold=1e-4, codec=CODEC)
     defaults.update(kw)
     return GAConfig(**defaults)
+
+
+def draws(cfg, seed):
+    """A run's draw source on the streams of ``seed``."""
+    return ga.Draws(RngStreams.from_seed(seed), cfg, (2, 3))
 
 
 def random_bits(n_pop, seed=0):
@@ -165,23 +171,98 @@ def test_select_parents_matches_per_pair_reference(n_pop):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("n_pop", [2, 3, 10, 11])
+def _reference_ranks(n_pop, n_ranks, rng):
+    """Ranks of ``n_ranks`` single double draws."""
+    cdf = np.cumsum(ga.selection_probabilities(n_pop))
+    return [min(int(np.searchsorted(cdf, rng.random(), side="right")), n_pop - 1)
+            for _ in range(n_ranks)]
+
+
+def _reference_breeding(cfg, streams):
+    """One generation's swap masks and packed flips (None at a zero rate),
+    drawn by the per-generation calls of the draw contract."""
+    masks = ga._segment_masks(cfg.codec.depth)
+    n_pairs = (cfg.n_pop - cfg.elitism + 1) // 2
+    swaps = masks.take(streams.crossover.integers(0, len(masks), size=(n_pairs, 2, 3)))
+    if cfg.mutation_rate == 0:
+        return swaps, None
+    genes = streams.mutation.random((n_pairs, 2, 2, 3, cfg.codec.depth))
+    return swaps, genome.pack(genes < cfg.mutation_rate)
+
+
+@pytest.mark.parametrize("n_pop", [2, 3, 10, 11, 100, 101])
 @pytest.mark.parametrize("mutation_rate", [0.0, 0.01, 1.0])
 def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
+    # 20 generations cross two draw blocks; then the draw source's next
+    # values must be the reference streams' next values, so every
+    # generation took exactly the draws of the per-generation calls
     for elitism in sorted({0, 1, n_pop - 1, n_pop}):
         cfg = make_config(n_pop=n_pop, mutation_rate=mutation_rate, elitism=elitism)
         bits, _ = _reference_evaluate(random_bits(n_pop, seed=n_pop + elitism))
         pop = ga.evaluate(genome.pack(bits), TASK, CODEC)
         streams, ref = RngStreams.from_seed(elitism), RngStreams.from_seed(elitism)
-        for _ in range(4):
-            nxt = ga.next_generation(pop, cfg, TASK, streams)
+        source = ga.Draws(streams, cfg, (2, 3))
+        for _ in range(20):
+            nxt = ga.next_generation(pop, cfg, TASK, source)
             bits, want_fitness = _reference_evaluate(_reference_generation(bits, cfg, ref))
             assert np.array_equal(nxt.genomes, genome.pack(bits))
             assert np.array_equal(nxt.fitness, want_fitness)
-            for label in ga.STREAM_LABELS:
-                assert (getattr(streams, label).bit_generator.state
-                        == getattr(ref, label).bit_generator.state)
             pop = nxt
+        n_pairs = (n_pop - elitism + 1) // 2
+        n_ranks = 2 * n_pairs + 3 if n_pairs else 0  # no pairs, no ranks drawn
+        assert source.ranks(n_ranks) == _reference_ranks(n_pop, n_ranks, ref.selection)
+        (swaps, flips), (want_swaps, want_flips) = source.breeding(), _reference_breeding(cfg, ref)
+        assert np.array_equal(swaps, want_swaps)
+        assert (flips is None) if want_flips is None else np.array_equal(flips, want_flips)
+        if mutation_rate == 0:  # a zero rate draws nothing
+            assert (streams.mutation.bit_generator.state
+                    == RngStreams.from_seed(elitism).mutation.bit_generator.state)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 8, 9, 11])
+def test_draws_stop_at_the_generation_cap(cap):
+    # a run breeds cap - 1 generations: the crossover and mutation streams
+    # end where that many per-generation calls leave them, and no more is drawn
+    cfg = make_config(n_pop=11, mutation_rate=0.01, elitism=2, max_generations=cap)
+    streams, ref = RngStreams.from_seed(cap), RngStreams.from_seed(cap)
+    source = ga.Draws(streams, cfg, (2, 3))
+    for _ in range(cap - 1):
+        swaps, flips = source.breeding()
+        want_swaps, want_flips = _reference_breeding(cfg, ref)
+        assert np.array_equal(swaps, want_swaps) and np.array_equal(flips, want_flips)
+    with pytest.raises(StopIteration):
+        source.breeding()
+    for label in ("crossover", "mutation"):
+        assert (getattr(streams, label).bit_generator.state
+                == getattr(ref, label).bit_generator.state)
+
+
+def _block_and_calls(n, shape, generations, seed):
+    """One (generations, *shape) integers call and ``generations`` calls of
+    ``shape`` on twin streams, then the same for doubles."""
+    block, single = Generator(PCG64(seed)), Generator(PCG64(seed))
+    ints = (block.integers(0, n, size=(generations, *shape)),
+            np.stack([single.integers(0, n, size=shape) for _ in range(generations)]))
+    doubles = (block.random((generations, *shape)),
+               np.stack([single.random(shape) for _ in range(generations)]))
+    return block, single, ints, doubles
+
+
+# every crossover range L(L+1)/2 of depths 1..52, then two ranges where
+# Lemire's bounded draw rejects about a quarter and a half of its 32-bit values
+@pytest.mark.parametrize("n", [depth * (depth + 1) // 2 for depth in range(1, 53)]
+                         + [3 * 2**30, 2**31 + 1])
+def test_block_draws_equal_per_generation_calls(n):
+    # Draws relies on numpy drawing one (G, ...) block exactly as G calls:
+    # integers below 2**32 take PCG64's 32-bit halves, and the spare half
+    # is kept in the bit generator's state across calls; doubles come in order
+    for shape in ((5, 1, 3), (6, 2, 3)):  # odd and even sizes per generation
+        for generations in (ga.BLOCK_GENERATIONS, 3):
+            block, single, ints, doubles = _block_and_calls(n, shape, generations, seed=n)
+            assert np.array_equal(*ints) and np.array_equal(*doubles)
+            assert block.bit_generator.state == single.bit_generator.state
+            assert np.array_equal(block.integers(0, n, size=7), single.integers(0, n, size=7))
+            assert np.array_equal(block.random(7), single.random(7))
 
 
 # ------------------------------------------------------- crossover, mutation
@@ -194,7 +275,7 @@ def _bred(genomes, cfg, seed, monkeypatch):
     streams = RngStreams.from_seed(seed)
     pairs = ga.select_parents(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
     pop = Population(genome.pack(genomes), np.zeros(len(genomes)))
-    nxt = ga.next_generation(pop, cfg, TASK, streams)
+    nxt = ga.next_generation(pop, cfg, TASK, ga.Draws(streams, cfg, genomes.shape[1:3]))
     return bits_of(nxt.genomes, cfg.codec.depth), pairs, streams
 
 
@@ -248,7 +329,7 @@ def test_mutate_zero_rate_is_identity():
     pop = ga.evaluate(random_codes(9, seed=8), TASK, CODEC)
     streams = RngStreams.from_seed(0)
     before = streams.mutation.bit_generator.state
-    ga.next_generation(pop, cfg, TASK, streams)
+    ga.next_generation(pop, cfg, TASK, ga.Draws(streams, cfg, (2, 3)))
     assert streams.mutation.bit_generator.state == before
 
 
@@ -256,7 +337,7 @@ def test_mutate_full_rate_is_complement():
     g = np.random.default_rng(1).integers(0, 2, size=(1, 2, 3, 15), dtype=np.uint8)
     cfg = make_config(n_pop=6, mutation_rate=1.0)
     pop = ga.evaluate(genome.pack(np.repeat(g, 6, axis=0)), TASK, CODEC)
-    nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
+    nxt = ga.next_generation(pop, cfg, TASK, draws(cfg, 2))
     assert np.array_equal(nxt.genomes, genome.pack(np.repeat(1 - g, 6, axis=0)))
 
 
@@ -317,7 +398,7 @@ def test_evaluate_scores_known_genomes():
 def test_next_generation_full_elitism_copies_population():
     cfg = make_config(n_pop=12, elitism=12)
     pop = ga.evaluate(random_codes(12, seed=4), TASK, CODEC)
-    nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(0))
+    nxt = ga.next_generation(pop, cfg, TASK, draws(cfg, 0))
     assert np.array_equal(nxt.genomes, pop.genomes)
     assert np.array_equal(nxt.fitness, pop.fitness)
 
@@ -326,7 +407,7 @@ def test_next_generation_full_elitism_copies_population():
 def test_next_generation_size(n_pop):
     cfg = make_config(n_pop=n_pop)
     pop = ga.evaluate(random_codes(n_pop, seed=1), TASK, CODEC)
-    nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(5))
+    nxt = ga.next_generation(pop, cfg, TASK, draws(cfg, 5))
     assert len(nxt.genomes) == n_pop
 
 
@@ -335,7 +416,7 @@ def test_next_generation_homogeneous_fixed_point():
     genomes = genome.pack(np.repeat(g, 6, axis=0))
     cfg = make_config(n_pop=6)
     pop = ga.evaluate(genomes, TASK, CODEC)
-    nxt = ga.next_generation(pop, cfg, TASK, RngStreams.from_seed(2))
+    nxt = ga.next_generation(pop, cfg, TASK, draws(cfg, 2))
     assert np.array_equal(nxt.genomes, pop.genomes)
 
 
