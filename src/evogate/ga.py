@@ -10,13 +10,11 @@ candidates.  Randomness comes from four named PCG64 streams derived from the
 run seed (population init, parent selection, crossover cut points,
 mutation), which makes every run a pure function of (config, task, seed).
 
-The draws each step makes, in order, and how they act on the codes are
-stated in README "Determinism and randomness", which
-``tests/test_contract_port.py`` checks with a scalar port.  A run reads its
-breeding draws ahead through :class:`Draws`, ``BLOCK_GENERATIONS``
-generations per call on each stream: every generation gets the values the
-per-generation calls would return, in the same order, while the streams
-themselves run ahead of the generation being bred.
+Each draw is converted from its stream's 64-bit words in one section below,
+as README "Determinism and randomness" states; ``tests/test_contract_port.py``
+checks that with a scalar port.  A run reads its breeding draws ahead through
+:class:`Draws`, ``BLOCK_GENERATIONS`` generations per block on each stream,
+with the values and order of one-generation reads.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 # numpy loads numpy.random lazily; importing it here puts the load in the CLI
 # parent, which forked pool workers share, not in each worker's first run
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import PCG64, SeedSequence
 
 from . import genome as genome_mod
 from .genome import CodecConfig
@@ -46,37 +44,28 @@ __all__ = [
     "fitness_fluctuation",
     "next_generation",
     "run",
-    "select_parents",
     "selection_probabilities",
 ]
-
-STREAM_LABELS = ("init", "selection", "crossover", "mutation")
 
 TERMINATED_CONVERGED = "converged"
 TERMINATED_CAP = "generation-cap"
 
-# generations of breeding draws that each stream gives per call
+# generations of breeding draws that each stream gives per block read
 BLOCK_GENERATIONS = 8
 
 
 @dataclass(frozen=True)
 class RngStreams:
-    """The four labeled random streams of one run."""
+    """The four labeled random streams of one run, as PCG64 bit generators."""
 
-    init: Generator
-    selection: Generator
-    crossover: Generator
-    mutation: Generator
+    init: PCG64
+    selection: PCG64
+    crossover: PCG64
+    mutation: PCG64
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngStreams":
-        # stream k uses PCG64 seeded by SeedSequence(seed, spawn_key=(k,)),
-        # k following STREAM_LABELS order; ports must match this derivation
-        gens = [
-            Generator(PCG64(SeedSequence(seed, spawn_key=(k,))))
-            for k in range(len(STREAM_LABELS))
-        ]
-        return cls(*gens)
+        return cls(*(PCG64(SeedSequence(seed, spawn_key=(k,))) for k in range(4)))
 
 
 @dataclass(frozen=True)
@@ -199,45 +188,64 @@ def _walk_pairs(n_pairs: int, take: Callable[[int], list[int]]) -> np.ndarray:
     return np.array(flat, dtype=np.intp).reshape(n_pairs, 2)
 
 
-def select_parents(n_pop: int, n_pairs: int, rng: Generator) -> np.ndarray:
-    """Ranks of ``n_pairs`` parent pairs under rank selection, shape ``(n_pairs, 2)``.
+# ---------------------------------------------------------- words to draws
+# each draw, from its stream's 64-bit words (README "Determinism and randomness")
 
-    Each pair is a first rank and a second rank redrawn until it differs
-    from the first, one double of ``rng`` per rank draw.  Draws come in
-    blocks of the fewest doubles the remaining pairs still need, so the
-    stream ends where drawing the ranks one at a time would leave it.  A
-    run walks its pre-drawn ranks (:class:`Draws`) the same way.
-    """
-    bounds = _rank_bounds(n_pop)
-    return _walk_pairs(
-        n_pairs, lambda k: np.searchsorted(bounds, rng.random(k), side="right").tolist())
+def _bits(stream: PCG64, shape: tuple[int, ...]) -> np.ndarray:
+    """uint8 genes of ``shape``: the top bit of each byte of the words, low byte first."""
+    words = np.asarray(stream.random_raw(-(-math.prod(shape) // 8)), "<u8")
+    return (words.view(np.uint8)[:math.prod(shape)] >> 7).reshape(shape)
+
+
+def _ranks(stream: PCG64, n_pop: int, size: int) -> list[int]:
+    """Ranks of ``size`` doubles, each a word's top 53 bits times 2**-53."""
+    doubles = (stream.random_raw(size) >> 11) * 2.0**-53
+    return np.searchsorted(_rank_bounds(n_pop), doubles, side="right").tolist()
+
+
+def _flip_bound(rate: float) -> np.uint64:
+    """The largest word whose double is below ``rate``, 0 < rate <= 1."""
+    return np.uint64(((math.ceil(rate * 2**53) - 1) << 11) | 0x7FF)
+
+
+def _below(stream: PCG64, n: int, shape: tuple[int, ...], spare: np.ndarray):
+    """int64 values in [0, n) of ``shape``, n < 2**32, and the 32-bit half left over:
+    Lemire's bounded draw on ``spare``, the half the last call left, then on
+    the words' halves, low half first.  Half ``x`` gives ``x * n >> 32`` unless
+    ``x * n mod 2**32 < (2**32 - n) % n`` rejects it; n == 1 draws nothing."""
+    count = math.prod(shape)
+    if n == 1:
+        return np.zeros(shape, np.int64), spare
+    words = np.asarray(stream.random_raw((count - len(spare) + 1) // 2), "<u8")
+    halves = np.concatenate([spare, words.view("<u4")])
+    m = halves[:count].astype(np.uint64) * n
+    rejected = np.flatnonzero(m.astype(np.uint32) < (2**32 - n) % n)
+    values = (m >> 32).view(np.int64)
+    if len(rejected):  # rare: their replacements come from the halves after these
+        more, spare = _below(stream, n, (len(rejected),), halves[count:])
+        return np.concatenate([np.delete(values, rejected), more]).reshape(shape), spare
+    return values.reshape(shape), halves[count:]
 
 
 class Draws:
     """The breeding draws of one run, read ahead from its streams, for
     genomes of ``genome_shape`` ``(slots, components)``.
 
-    Each stream is drawn ``BLOCK_GENERATIONS`` generations per call, never
+    Each stream is read ``BLOCK_GENERATIONS`` generations per block, never
     past the generation cap, and each generation takes the next values in
-    draw order: parent ranks from a pool of selection doubles (``2 * P``
-    per generation, ``P`` the pairs bred; redraws make the pool draw its
-    next block early), swap masks from one crossover block and packed flips
-    from one mutation block.  A generation so reads exactly the
-    values of the per-generation calls in README "Determinism and
-    randomness"; values drawn past a run's last generation are dropped with
-    its streams.
+    draw order: parent ranks from a pool (``2 * P`` per generation, ``P``
+    the pairs bred; redraws make the pool read its next block early), swap
+    masks from one crossover block and packed flips from one mutation
+    block, so it reads the values README "Determinism and randomness" gives
+    it.  Values drawn past a run's last generation are dropped with its streams.
     """
 
     def __init__(self, streams: RngStreams, cfg: GAConfig, genome_shape: tuple[int, int]):
         shape = ((cfg.n_pop - cfg.elitism + 1) // 2, *genome_shape)  # (P, slots, components)
-        bounds = _rank_bounds(cfg.n_pop)
         size = 2 * shape[0] * min(BLOCK_GENERATIONS, max(cfg.max_generations - 1, 1))
         # with no pairs to breed (elitism == n_pop) a block is empty, which ends the pool
-        pool = chain.from_iterable(iter(
-            lambda: np.searchsorted(bounds, streams.selection.random(size), side="right").tolist(),
-            []))
-        # ranks(k): the next k parent ranks
-        self.ranks = lambda k: list(islice(pool, k))
+        pool = chain.from_iterable(iter(lambda: _ranks(streams.selection, cfg.n_pop, size), []))
+        self.ranks = lambda k: list(islice(pool, k))  # the next k parent ranks
         # breeding(): the next generation's swap masks and packed flips
         self.breeding = _breeding_blocks(streams, cfg, shape).__next__
 
@@ -248,15 +256,14 @@ def _breeding_blocks(streams: RngStreams, cfg: GAConfig, shape: tuple[int, int, 
     the ``max_generations - 1`` generations a run can breed."""
     masks = _segment_masks(cfg.codec.depth)
     n_pairs, *chromosome = shape
-    left = cfg.max_generations - 1
-    while left > 0:
-        g = min(BLOCK_GENERATIONS, left)
-        left -= g
-        picks = streams.crossover.integers(0, len(masks), size=(g, *shape))
+    spare = np.empty(0, np.uint32)  # the crossover half a block leaves, for the next
+    for bred in range(0, cfg.max_generations - 1, BLOCK_GENERATIONS):
+        g = min(BLOCK_GENERATIONS, cfg.max_generations - 1 - bred)
+        picks, spare = _below(streams.crossover, len(masks), (g, *shape), spare)
         flips = repeat(None)  # a zero rate draws nothing
         if cfg.mutation_rate > 0:
-            genes = streams.mutation.random((g, n_pairs, 2, *chromosome, cfg.codec.depth))
-            flips = genome_mod.pack(genes < cfg.mutation_rate)
+            words = streams.mutation.random_raw((g, n_pairs, 2, *chromosome, cfg.codec.depth))
+            flips = genome_mod.pack(words <= _flip_bound(cfg.mutation_rate))
         yield from zip(masks.take(picks), flips)
 
 
@@ -287,8 +294,8 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     probability ``mutation_rate``.  Children go pair-major, kid a before
     kid b; an odd count discards the last kid b.  The ranks, swap masks and
     flips are the next generation's values of ``draws``; README
-    "Determinism and randomness" gives the calls they equal and how they
-    act on the codes.
+    "Determinism and randomness" gives the words they come from and how
+    they act on the codes.
     """
     codes = pop.genomes
     n_bred = cfg.n_pop - cfg.elitism
@@ -315,23 +322,17 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     Deterministic in (cfg, task, seed); a cap stop is a valid outcome, not an
     error.  Generation indices are 1-based and ``q_c`` counts evaluated
     generations, so the initial random population is generation 1.  The
-    initial genomes are one uint8 draw of shape (n_pop, task.n_slots,
-    task.n_components, depth) from the init stream, fixed here so ports can
-    match run for run, packed once into codes.  Breeding reads the other
-    three streams through one :class:`Draws`.
+    initial genomes, ``(n_pop, task.n_slots, task.n_components, depth)``
+    genes of the init stream, are packed once into codes.  Breeding reads
+    the other three streams through one :class:`Draws`.
     """
     streams = RngStreams.from_seed(seed)
-    bits = streams.init.integers(
-        0, 2, size=(cfg.n_pop, task.n_slots, task.n_components, cfg.codec.depth),
-        dtype=np.uint8,
-    )
+    bits = _bits(streams.init, (cfg.n_pop, task.n_slots, task.n_components, cfg.codec.depth))
     pop = evaluate(genome_mod.pack(bits), task, cfg.codec)
     draws = Draws(streams, cfg, (task.n_slots, task.n_components))
 
     means, flucts, bests = [], [], []
-    generation = 0
     while True:
-        generation += 1
         fitness = pop.fitness
         mean = float(np.add.reduce(fitness) / len(fitness))
         spread = fitness_fluctuation(fitness, mean)
@@ -341,20 +342,19 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
         if spread < cfg.threshold or fitness[0] == fitness[-1]:  # sorted: all equal
             reason = TERMINATED_CONVERGED
             break
-        if generation >= cfg.max_generations:
+        if len(means) >= cfg.max_generations:
             reason = TERMINATED_CAP
             break
         pop = next_generation(pop, cfg, task, draws)
 
-    best = bests[-1]
     return RunRecord(
         seed=seed,
         mean_fitness=np.array(means),
         fluctuation=np.array(flucts),
         best_fitness_series=np.array(bests),
-        q_c=generation,
+        q_c=len(means),
         termination_reason=reason,
         best_genome=pop.genomes[0].copy(),  # a view would pin the whole population
-        best_fitness=best,
-        epsilon_opt=1.0 - best,
+        best_fitness=bests[-1],
+        epsilon_opt=1.0 - bests[-1],
     )

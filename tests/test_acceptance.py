@@ -173,9 +173,10 @@ def test_criterion_5_selection_law():
 
         for n in (10, 100):
             probs = ga.selection_probabilities(n)
-            rng = np.random.default_rng(123)
+            stream = np.random.PCG64(123)  # the run's walk over the words of seed 123
             draws = 100_000
-            counts = np.bincount(ga.select_parents(n, draws, rng)[:, 0], minlength=n)
+            pairs = ga._walk_pairs(draws, lambda k: ga._ranks(stream, n, k))
+            counts = np.bincount(pairs[:, 0], minlength=n)
             expected = draws * probs
             sigma = np.sqrt(draws * probs * (1.0 - probs))
             worst = np.max(np.abs(counts - expected) / sigma)

@@ -2,12 +2,13 @@
 ``ga.run``.
 
 The search below is written from README "Determinism and randomness" alone
-and shares no code with evogate: it reads each task as the plain data of its
-task file, draws one selection double at a time, holds each chromosome as a
-list of 0/1 genes, crosses over by cut pair ``(s, e)``, flips gene by gene and
-scores one candidate at a time in pure Python floats.  It must match
-``ga.run`` record for record, bit for bit.  A mismatch is a bug in the
-contract text or in the code.
+and shares no code with evogate: it seeds and steps PCG64 in pure Python
+integers and converts its words one draw at a time, reads each task as the
+plain data of its task file, holds each chromosome as a list of 0/1 genes,
+crosses over by cut pair ``(s, e)``, flips gene by gene and scores one
+candidate at a time in pure Python floats.  It must match ``ga.run`` record
+for record, bit for bit.  A mismatch is a bug in the contract text or in the
+code.  Only the seeding test imports numpy's generators, as its reference.
 """
 
 import math
@@ -17,7 +18,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from numpy.random import PCG64, Generator, SeedSequence
 
 from evogate import ga, tasks
 from evogate.genome import CodecConfig
@@ -27,6 +27,109 @@ from test_golden import GENERAL_TASK
 TASKS = {"deutsch": tasks.task_to_dict(tasks.deutsch_task()), "general": GENERAL_TASK}
 GENERATIONS = 3
 THRESHOLD = 1e-12  # low enough that almost every case breeds for all generations
+
+
+MASK32, MASK64, MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seed_words(seed, spawn_key, n_words):
+    """The first ``n_words`` 32-bit words of SeedSequence(seed, spawn_key):
+    the 32-bit limbs of the seed, low limb first, padded with zeros to four
+    when there is a spawn key, then those of each key, hash-mixed into a
+    pool of four words, which are hashed out in turn."""
+    def limbs(x):
+        out = [x & MASK32]
+        while x >> 32:
+            x >>= 32
+            out.append(x & MASK32)
+        return out
+
+    entropy = limbs(seed)
+    if spawn_key:
+        entropy += [0] * (4 - len(entropy))
+    for k in spawn_key:
+        entropy += limbs(k)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & MASK32
+        value = value * mult & MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    mult, out = 0x8B51F9DD, []
+    for i in range(n_words):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & MASK32
+        value = value * mult & MASK32
+        out.append(value ^ value >> 16)
+    return out
+
+
+class Stream:
+    """PCG64 seeded by SeedSequence(seed, spawn_key), read one draw at a time."""
+
+    def __init__(self, seed, spawn_key=()):
+        w = seed_words(seed, spawn_key, 8)
+        u = [w[2 * i] | w[2 * i + 1] << 32 for i in range(4)]  # four 64-bit words
+        self.inc = (u[2] << 64 | u[3]) << 1 & MASK128 | 1
+        self.state = 0
+        self.word()
+        self.state = (self.state + (u[0] << 64 | u[1])) & MASK128
+        self.word()
+        self.half = None  # the high half a 32-bit draw left over
+        self.bytes = []  # the bytes of the last init word not yet read
+
+    def word(self):
+        """One step of the 128-bit LCG, then the XSL-RR output of the new state."""
+        self.state = (self.state * PCG_MULT + self.inc) & MASK128
+        x = (self.state >> 64 ^ self.state) & MASK64
+        r = self.state >> 122
+        return (x >> r | x << (64 - r)) & MASK64
+
+    def gene(self):
+        """An init gene: the top bit of the next byte of the words, low byte first."""
+        if not self.bytes:
+            w = self.word()
+            self.bytes = [w >> 8 * j & 0xFF for j in range(8)]
+        return self.bytes.pop(0) >> 7
+
+    def double(self):
+        """A double in [0, 1): the word's top 53 bits times 2**-53."""
+        return (self.word() >> 11) * 2.0**-53
+
+    def below(self, n):
+        """A value in [0, n), n < 2**32: Lemire's bounded draw on 32-bit halves,
+        the low half of a word first, its high half kept for the next draw.
+        n == 1 draws nothing."""
+        while n > 1:
+            if self.half is None:
+                w = self.word()
+                x, self.half = w & MASK32, w >> 32
+            else:
+                x, self.half = self.half, None
+            if x * n & MASK32 >= (2**32 - n) % n:
+                return x * n >> 32
+        return 0
+
+
+def nested(shape, draw):
+    """A nested list of ``shape`` filled with ``draw()`` in row-major order."""
+    return [nested(shape[1:], draw) for _ in range(shape[0])] if shape else draw()
 
 
 def pairwise_sum(xs, lo=0, n=None):
@@ -69,7 +172,7 @@ def rank_bounds(n_pop):
 
 
 def draw_rank(rng, bounds):
-    return min(bisect_right(bounds, rng.random()), len(bounds) - 1)
+    return min(bisect_right(bounds, rng.double()), len(bounds) - 1)
 
 
 def draw_pairs(rng, bounds, n_pairs):
@@ -150,11 +253,10 @@ def ranked(task, genomes, half_range):
 
 def port_run(task, n_pop, depth, half_range, rate, elitism, seed,
              threshold=THRESHOLD, generations=GENERATIONS):
-    init, selection, crossover, mutation = (
-        Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))) for k in range(4))
+    init, selection, crossover, mutation = (Stream(seed, (k,)) for k in range(4))
     n_slots = sum(slot["kind"] == "trainable" for slot in task["slots"])
     n_comp = task["dim"] ** 2 - 1
-    genomes = init.integers(0, 2, size=(n_pop, n_slots, n_comp, depth), dtype=np.uint8).tolist()
+    genomes = nested((n_pop, n_slots, n_comp, depth), init.gene)
     pop = ranked(task, genomes, half_range)
     bounds = rank_bounds(n_pop)
     cuts = [(s, e) for s in range(1, depth + 1) for e in range(s, depth + 1)]
@@ -175,9 +277,8 @@ def port_run(task, n_pop, depth, half_range, rate, elitism, seed,
             reason = "generation-cap"
             break
         pairs = draw_pairs(selection, bounds, n_pairs)
-        picks = crossover.integers(0, len(cuts), size=(n_pairs, n_slots, n_comp)).tolist()
-        flips = (mutation.random((n_pairs, 2, n_slots, n_comp, depth)).tolist()
-                 if rate > 0 else None)
+        picks = nested((n_pairs, n_slots, n_comp), lambda: crossover.below(len(cuts)))
+        flips = nested((n_pairs, 2, n_slots, n_comp, depth), mutation.double) if rate > 0 else None
         kids = []
         for p, (first, second) in enumerate(pairs):
             a = [[list(ch) for ch in slot] for slot in pop[first][1]]
@@ -253,10 +354,11 @@ def test_scalar_fitness_matches_population_fitness(task_name):
     # vector, whose sin(x)/x takes the epsilon branch
     task = TASKS[task_name]
     spec = tasks.task_from_dict(task)
-    rng = np.random.default_rng(12)
+    rng = Stream(12)
     shape = (spec.n_slots, spec.n_components)
     grid = np.array(list(product([-np.pi / 2, np.pi / 2], repeat=math.prod(shape))))
-    params = np.concatenate([rng.uniform(-np.pi, np.pi, (20_000,) + shape),
+    uniform = nested((20_000, *shape), lambda: 2 * math.pi * rng.double() - math.pi)
+    params = np.concatenate([np.array(uniform),
                              grid.reshape((-1,) + shape), np.zeros((1,) + shape)])
     want = tasks.population_fitness(spec, params)
     got = np.array([fitness(task, p) for p in params.tolist()])
@@ -265,20 +367,77 @@ def test_scalar_fitness_matches_population_fitness(task_name):
 
 @pytest.mark.parametrize("n_pop", [2, 3, 11, 101])
 def test_block_draws_leave_the_stream_where_single_draws_do(n_pop):
-    # README: block draws end where one-at-a-time draws would, so the ranks
-    # and the stream state after them must both agree
+    # the run's walk asks for the fewest doubles the remaining pairs still
+    # need, so its ranks and the stream state after them both match draws
+    # made one at a time
     bounds = rank_bounds(n_pop)
     for seed in range(40):
         for n_pairs in (1, 2, (n_pop + 1) // 2):
-            block = Generator(PCG64(seed))
-            single = Generator(PCG64(seed))
-            ranks = ga.select_parents(n_pop, n_pairs, block)
+            block, single = ga.RngStreams.from_seed(seed).selection, Stream(seed, (1,))
+            ranks = ga._walk_pairs(n_pairs, lambda k: ga._ranks(block, n_pop, k))
             assert ranks.tolist() == [list(p) for p in draw_pairs(single, bounds, n_pairs)]
-            assert block.bit_generator.state == single.bit_generator.state
+            assert block.state["state"]["state"] == single.state
+
+
+# ranges whose bounded draw rejects about a quarter and about half of the halves
+@pytest.mark.parametrize("n", [1, 3, 21, 120, 1378, 3 * 2**30, 2**31 + 5])
+def test_bounded_draws_match_the_port(n):
+    # successive calls of odd and even sizes carry the spare half between them
+    for seed in range(4):
+        stream, port = ga.RngStreams.from_seed(seed).crossover, Stream(seed, (2,))
+        spare = np.empty(0, np.uint32)
+        for size in (30, 7, 240, 13, 1):
+            values, spare = ga._below(stream, n, (size,), spare)
+            assert values.tolist() == [port.below(n) for _ in range(size)]
+            assert stream.state["state"]["state"] == port.state
+            assert spare.tolist() == ([] if port.half is None else [port.half])
+
+
+class Words:
+    """A stand-in stream whose words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        drawn, self.words = self.words[:size], self.words[size:]
+        return drawn
+
+
+@pytest.mark.parametrize("n_pop", [2, 3, 11, 101])
+def test_rank_draws_match_the_port_at_every_bound(n_pop):
+    # the words on either side of each rank bound, where a double off by its
+    # last bit would change the rank, and the lowest and highest words
+    bounds = rank_bounds(n_pop)
+    words = [0, MASK64]
+    for b in bounds[:-1]:
+        k = math.ceil(b * 2**53)  # the first 53-bit value whose double is not below b
+        words += [k << 11, (k << 11) - 1]
+    want = [min(bisect_right(bounds, (w >> 11) * 2.0**-53), n_pop - 1) for w in words]
+    assert ga._ranks(Words(words), n_pop, len(words)) == want
+
+
+@pytest.mark.parametrize("size", [12, 993, 9000])
+def test_init_genes_match_the_port(size):
+    for seed in range(20):
+        stream, port = ga.RngStreams.from_seed(seed).init, Stream(seed, (0,))
+        assert ga._bits(stream, (size,)).tolist() == [port.gene() for _ in range(size)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 1, 2**70 + 9])
+def test_seeding_matches_numpy(seed):
+    # numpy's SeedSequence and PCG64 are the reference here, and only here
+    from numpy.random import PCG64, SeedSequence
+
+    for spawn_key in [(), (0,), (1,), (2,), (3,)]:
+        seq = SeedSequence(seed, spawn_key=spawn_key)
+        assert seed_words(seed, spawn_key, 4) == seq.generate_state(4).tolist()
+        port = Stream(seed, spawn_key)
+        assert [port.word() for _ in range(50)] == PCG64(seq).random_raw(50).tolist()
 
 
 def test_pairwise_sum_is_numpy_order():
-    rng = np.random.default_rng(0)
+    rng = Stream(0)
     for n in range(1, 600):
-        x = rng.random(n) * 10.0 ** rng.integers(-5, 5, n)
-        assert pairwise_sum(x.tolist()) == float(np.add.reduce(x))
+        x = [rng.double() * 10.0 ** (rng.below(10) - 5) for _ in range(n)]
+        assert pairwise_sum(x) == float(np.add.reduce(np.array(x)))

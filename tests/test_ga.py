@@ -8,6 +8,7 @@ from numpy.random import PCG64, Generator
 from evogate import ga, genome, tasks
 from evogate.ga import GAConfig, Population, RngStreams
 from evogate.genome import CodecConfig
+from test_contract_port import Stream, nested
 
 CODEC = CodecConfig(depth=15)
 TASK = tasks.deutsch_task()
@@ -22,6 +23,26 @@ def make_config(n_pop=20, **kw):
 def draws(cfg, seed):
     """A run's draw source on the streams of ``seed``."""
     return ga.Draws(RngStreams.from_seed(seed), cfg, (2, 3))
+
+
+def port_streams(seed):
+    """The four streams of ``seed`` as the contract port's one-draw-at-a-time streams."""
+    return RngStreams(*(Stream(seed, (k,)) for k in range(4)))
+
+
+def drawn(shape, draw, dtype):
+    """An array of ``shape`` filled with ``draw()``, one value at a time in row-major order."""
+    return np.array(nested(shape, draw), dtype=dtype).reshape(shape)
+
+
+def walk(n_pop, n_pairs, stream):
+    """The run's parent walk: ``n_pairs`` pairs of ranks from ``stream``'s words."""
+    return ga._walk_pairs(n_pairs, lambda k: ga._ranks(stream, n_pop, k))
+
+
+def state(stream):
+    """The 128-bit LCG state of a numpy or a port PCG64 stream."""
+    return stream.state["state"]["state"] if isinstance(stream, PCG64) else stream.state
 
 
 def random_bits(n_pop, seed=0):
@@ -71,14 +92,14 @@ def test_selection_probabilities_shape():
 
 
 def test_select_parents_two_individuals():
-    pairs = ga.select_parents(2, 50, np.random.default_rng(0))
+    pairs = walk(2, 50, PCG64(0))
     assert pairs.shape == (50, 2)
     for pair in pairs.tolist():
         assert set(pair) == {0, 1}
 
 
 def test_select_parents_bounds_and_distinctness():
-    pairs = ga.select_parents(10, 2000, np.random.default_rng(1))
+    pairs = walk(10, 2000, PCG64(1))
     assert np.all((pairs >= 0) & (pairs < 10))
     assert np.all(pairs[:, 0] != pairs[:, 1])
 
@@ -88,7 +109,7 @@ def test_select_parents_first_rank_frequency():
     n = 10
     probs = ga.selection_probabilities(n)
     draws = 100_000
-    hits = int(np.sum(ga.select_parents(n, draws, np.random.default_rng(123))[:, 0] == 0))
+    hits = int(np.sum(walk(n, draws, PCG64(123))[:, 0] == 0))
     sigma = np.sqrt(draws * probs[0] * (1 - probs[0]))
     assert abs(hits - draws * probs[0]) <= 3 * sigma
 
@@ -107,7 +128,7 @@ def _reference_pairs(probs, n_pairs, rng):
     cdf = np.cumsum(probs)
 
     def draw():
-        return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+        return min(int(np.searchsorted(cdf, rng.double(), side="right")), len(cdf) - 1)
 
     pairs = []
     for _ in range(n_pairs):
@@ -144,11 +165,11 @@ def _reference_generation(bits, cfg, streams):
     probs = ga.selection_probabilities(cfg.n_pop)
     for first, second in _reference_pairs(probs, n_pairs, streams.selection):
         a, b = bits[first], bits[second]
-        swap = masks[streams.crossover.integers(0, len(masks), size=a.shape[:-1])]
+        swap = masks[drawn(a.shape[:-1], lambda: streams.crossover.below(len(masks)), np.intp)]
         kids = [np.where(swap, b, a), np.where(swap, a, b)]
         if cfg.mutation_rate > 0:
-            kids = [np.where(streams.mutation.random(k.shape) < cfg.mutation_rate, 1 - k, k)
-                    .astype(np.uint8) for k in kids]
+            kids = [np.where(drawn(k.shape, streams.mutation.double, float) < cfg.mutation_rate,
+                             1 - k, k).astype(np.uint8) for k in kids]
         children.extend(kids)
     return np.stack(children[: cfg.n_pop])
 
@@ -164,29 +185,30 @@ def _reference_evaluate(bits):
 def test_select_parents_matches_per_pair_reference(n_pop):
     probs = ga.selection_probabilities(n_pop)
     for n_pairs in (0, 1, 2, 5, 37, 200):
-        rng, ref_rng = np.random.default_rng(n_pop), np.random.default_rng(n_pop)
+        stream, ref = PCG64(n_pop), Stream(n_pop)
         for _ in range(3):
-            pairs = ga.select_parents(n_pop, n_pairs, rng)
-            assert pairs.tolist() == [list(p) for p in _reference_pairs(probs, n_pairs, ref_rng)]
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            pairs = walk(n_pop, n_pairs, stream)
+            assert pairs.tolist() == [list(p) for p in _reference_pairs(probs, n_pairs, ref)]
+            assert state(stream) == state(ref)
 
 
 def _reference_ranks(n_pop, n_ranks, rng):
     """Ranks of ``n_ranks`` single double draws."""
     cdf = np.cumsum(ga.selection_probabilities(n_pop))
-    return [min(int(np.searchsorted(cdf, rng.random(), side="right")), n_pop - 1)
+    return [min(int(np.searchsorted(cdf, rng.double(), side="right")), n_pop - 1)
             for _ in range(n_ranks)]
 
 
 def _reference_breeding(cfg, streams):
     """One generation's swap masks and packed flips (None at a zero rate),
-    drawn by the per-generation calls of the draw contract."""
+    drawn one at a time as the draw contract reads."""
     masks = ga._segment_masks(cfg.codec.depth)
     n_pairs = (cfg.n_pop - cfg.elitism + 1) // 2
-    swaps = masks.take(streams.crossover.integers(0, len(masks), size=(n_pairs, 2, 3)))
+    picks = drawn((n_pairs, 2, 3), lambda: streams.crossover.below(len(masks)), np.intp)
+    swaps = masks.take(picks)
     if cfg.mutation_rate == 0:
         return swaps, None
-    genes = streams.mutation.random((n_pairs, 2, 2, 3, cfg.codec.depth))
+    genes = drawn((n_pairs, 2, 2, 3, cfg.codec.depth), streams.mutation.double, float)
     return swaps, genome.pack(genes < cfg.mutation_rate)
 
 
@@ -200,7 +222,7 @@ def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
         cfg = make_config(n_pop=n_pop, mutation_rate=mutation_rate, elitism=elitism)
         bits, _ = _reference_evaluate(random_bits(n_pop, seed=n_pop + elitism))
         pop = ga.evaluate(genome.pack(bits), TASK, CODEC)
-        streams, ref = RngStreams.from_seed(elitism), RngStreams.from_seed(elitism)
+        streams, ref = RngStreams.from_seed(elitism), port_streams(elitism)
         source = ga.Draws(streams, cfg, (2, 3))
         for _ in range(20):
             nxt = ga.next_generation(pop, cfg, TASK, source)
@@ -215,16 +237,16 @@ def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
         assert np.array_equal(swaps, want_swaps)
         assert (flips is None) if want_flips is None else np.array_equal(flips, want_flips)
         if mutation_rate == 0:  # a zero rate draws nothing
-            assert (streams.mutation.bit_generator.state
-                    == RngStreams.from_seed(elitism).mutation.bit_generator.state)
+            assert streams.mutation.state == RngStreams.from_seed(elitism).mutation.state
 
 
 @pytest.mark.parametrize("cap", [1, 2, 8, 9, 11])
 def test_draws_stop_at_the_generation_cap(cap):
     # a run breeds cap - 1 generations: the crossover and mutation streams
-    # end where that many per-generation calls leave them, and no more is drawn
+    # end where that many generations of one-at-a-time draws leave them, and
+    # no more is drawn
     cfg = make_config(n_pop=11, mutation_rate=0.01, elitism=2, max_generations=cap)
-    streams, ref = RngStreams.from_seed(cap), RngStreams.from_seed(cap)
+    streams, ref = RngStreams.from_seed(cap), port_streams(cap)
     source = ga.Draws(streams, cfg, (2, 3))
     for _ in range(cap - 1):
         swaps, flips = source.breeding()
@@ -233,19 +255,7 @@ def test_draws_stop_at_the_generation_cap(cap):
     with pytest.raises(StopIteration):
         source.breeding()
     for label in ("crossover", "mutation"):
-        assert (getattr(streams, label).bit_generator.state
-                == getattr(ref, label).bit_generator.state)
-
-
-def _block_and_calls(n, shape, generations, seed):
-    """One (generations, *shape) integers call and ``generations`` calls of
-    ``shape`` on twin streams, then the same for doubles."""
-    block, single = Generator(PCG64(seed)), Generator(PCG64(seed))
-    ints = (block.integers(0, n, size=(generations, *shape)),
-            np.stack([single.integers(0, n, size=shape) for _ in range(generations)]))
-    doubles = (block.random((generations, *shape)),
-               np.stack([single.random(shape) for _ in range(generations)]))
-    return block, single, ints, doubles
+        assert state(getattr(streams, label)) == state(getattr(ref, label))
 
 
 # every crossover range L(L+1)/2 of depths 1..52, then two ranges where
@@ -253,16 +263,37 @@ def _block_and_calls(n, shape, generations, seed):
 @pytest.mark.parametrize("n", [depth * (depth + 1) // 2 for depth in range(1, 53)]
                          + [3 * 2**30, 2**31 + 1])
 def test_block_draws_equal_per_generation_calls(n):
-    # Draws relies on numpy drawing one (G, ...) block exactly as G calls:
-    # integers below 2**32 take PCG64's 32-bit halves, and the spare half
-    # is kept in the bit generator's state across calls; doubles come in order
+    # Draws reads G generations of values per block: a (G, ...) block must
+    # equal G per-generation calls, rejections and the carried half included
     for shape in ((5, 1, 3), (6, 2, 3)):  # odd and even sizes per generation
         for generations in (ga.BLOCK_GENERATIONS, 3):
-            block, single, ints, doubles = _block_and_calls(n, shape, generations, seed=n)
-            assert np.array_equal(*ints) and np.array_equal(*doubles)
-            assert block.bit_generator.state == single.bit_generator.state
-            assert np.array_equal(block.integers(0, n, size=7), single.integers(0, n, size=7))
-            assert np.array_equal(block.random(7), single.random(7))
+            block, single = PCG64(n), PCG64(n)
+            ints, spare = ga._below(block, n, (generations, *shape), np.empty(0, np.uint32))
+            calls, single_spare = [], np.empty(0, np.uint32)
+            for _ in range(generations):
+                values, single_spare = ga._below(single, n, shape, single_spare)
+                calls.append(values)
+            assert np.array_equal(ints, np.stack(calls))
+            assert spare.tolist() == single_spare.tolist()
+            size = math.prod(shape)
+            assert (ga._ranks(block, 11, generations * size)
+                    == [r for _ in range(generations) for r in ga._ranks(single, 11, size)])
+            assert block.state == single.state
+            assert np.array_equal(ga._below(block, n, (7,), spare)[0],
+                                  ga._below(single, n, (7,), single_spare)[0])
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.5, 5e-324, 1e-3])
+def test_flip_bound_is_a_double_below_the_rate(rate):
+    # a gene flips where its word is at most the bound: exactly where the
+    # word's double is below the rate, on the words next to the bound, and
+    # where Generator.random() < rate, on 10,000 drawn words
+    bound = int(ga._flip_bound(rate))
+    words = np.array(sorted({0, max(bound - 1, 0), bound, min(bound + 1, 2**64 - 1), 2**64 - 1}),
+                     dtype=np.uint64)
+    assert np.array_equal(words <= ga._flip_bound(rate), (words >> 11) * 2.0**-53 < rate)
+    assert np.array_equal(PCG64(7).random_raw(10_000) <= ga._flip_bound(rate),
+                          Generator(PCG64(7)).random(10_000) < rate)
 
 
 # ------------------------------------------------------- crossover, mutation
@@ -273,7 +304,7 @@ def _bred(genomes, cfg, seed, monkeypatch):
     monkeypatch.setattr(ga, "evaluate",
                         lambda codes, task, codec: Population(codes, np.zeros(len(codes))))
     streams = RngStreams.from_seed(seed)
-    pairs = ga.select_parents(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
+    pairs = walk(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
     pop = Population(genome.pack(genomes), np.zeros(len(genomes)))
     nxt = ga.next_generation(pop, cfg, TASK, ga.Draws(streams, cfg, genomes.shape[1:3]))
     return bits_of(nxt.genomes, cfg.codec.depth), pairs, streams
@@ -328,9 +359,9 @@ def test_mutate_zero_rate_is_identity():
     cfg = make_config(n_pop=9)
     pop = ga.evaluate(random_codes(9, seed=8), TASK, CODEC)
     streams = RngStreams.from_seed(0)
-    before = streams.mutation.bit_generator.state
+    before = streams.mutation.state
     ga.next_generation(pop, cfg, TASK, ga.Draws(streams, cfg, (2, 3)))
-    assert streams.mutation.bit_generator.state == before
+    assert streams.mutation.state == before
 
 
 def test_mutate_full_rate_is_complement():
