@@ -12,18 +12,18 @@ mutation), which makes every run a pure function of (config, task, seed).
 
 Each draw is converted from its stream's 64-bit words in one section below,
 as README "Determinism and randomness" states; ``tests/test_contract_port.py``
-checks that with a scalar port.  A run reads its breeding draws ahead through
-:class:`Draws`, ``BLOCK_GENERATIONS`` generations per block on each stream,
-with the values and order of one-generation reads.
+checks that with a scalar port.  A run reads its breeding draws ahead from
+one :func:`_breeding` generator, ``BLOCK_GENERATIONS`` generations per block
+on each stream, with the values and order of one-generation reads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here puts the load in the CLI
@@ -35,7 +35,6 @@ from .genome import CodecConfig
 from .tasks import TaskSpec, population_fitness
 
 __all__ = [
-    "Draws",
     "GAConfig",
     "Population",
     "RngStreams",
@@ -166,25 +165,20 @@ def _rank_bounds(n_pop: int) -> np.ndarray:
     return bounds
 
 
-def _walk_pairs(n_pairs: int, take: Callable[[int], list[int]]) -> np.ndarray:
-    """Ranks of ``n_pairs`` parent pairs, shape ``(n_pairs, 2)``, from the
-    ranks that ``take(k)`` hands out ``k`` at a time, in order.
-
-    Each pending first rank pairs with the next rank that differs from it.
-    ``take`` is asked for the fewest ranks the remaining pairs still need,
-    so it hands out no rank past the last pair.
-    """
-    need = 2 * n_pairs
+def _walk_pairs(n_pairs: int, ranks: Iterable[int]) -> np.ndarray:
+    """Ranks of ``n_pairs`` parent pairs, shape ``(n_pairs, 2)``, from
+    ``ranks`` in order: each pending first rank pairs with the next rank
+    that differs from it.  No rank past the last pair is taken."""
     flat = []  # ranks of the pairs made so far, first and second alternating
     first = None
-    while need:
-        for rank in take(need):
-            if first is None:
-                first = rank
-            elif rank != first:
-                flat += (first, rank)
-                first = None
-        need = 2 * n_pairs - len(flat) - (first is not None)
+    for rank in ranks if n_pairs else ():
+        if first is None:
+            first = rank
+        elif rank != first:
+            flat += (first, rank)
+            if len(flat) == 2 * n_pairs:
+                break
+            first = None
     return np.array(flat, dtype=np.intp).reshape(n_pairs, 2)
 
 
@@ -197,10 +191,14 @@ def _bits(stream: PCG64, shape: tuple[int, ...]) -> np.ndarray:
     return (words.view(np.uint8)[:math.prod(shape)] >> 7).reshape(shape)
 
 
-def _ranks(stream: PCG64, n_pop: int, size: int) -> list[int]:
-    """Ranks of ``size`` doubles, each a word's top 53 bits times 2**-53."""
-    doubles = (stream.random_raw(size) >> 11) * 2.0**-53
-    return np.searchsorted(_rank_bounds(n_pop), doubles, side="right").tolist()
+def _ranks(stream: PCG64, n_pop: int, block: int) -> Iterator[int]:
+    """The stream's ranks in draw order, read ``block`` words at a time, each
+    word's top 53 bits times 2**-53 ranked by its bound; a block of 0 ends them."""
+    def read():
+        doubles = (stream.random_raw(block) >> 11) * 2.0**-53
+        return np.searchsorted(_rank_bounds(n_pop), doubles, side="right").tolist()
+
+    return chain.from_iterable(iter(read, []))
 
 
 def _flip_bound(rate: float) -> np.uint64:
@@ -227,44 +225,35 @@ def _below(stream: PCG64, n: int, shape: tuple[int, ...], spare: np.ndarray):
     return values.reshape(shape), halves[count:]
 
 
-class Draws:
-    """The breeding draws of one run, read ahead from its streams, for
-    genomes of ``genome_shape`` ``(slots, components)``.
+def _breeding(streams: RngStreams, cfg: GAConfig, genome_shape: tuple[int, int]):
+    """Yield the breeding draws of the ``max_generations - 1`` generations a
+    run can breed, genomes ``(S, C)`` = ``genome_shape``: parent ranks
+    ``(P, 2)``, ``P`` the pairs bred, swap masks ``(P, S, C)`` and packed
+    flips ``(P, 2, S, C)``, or None at a zero rate.
 
-    Each stream is read ``BLOCK_GENERATIONS`` generations per block, never
-    past the generation cap, and each generation takes the next values in
-    draw order: parent ranks from a pool (``2 * P`` per generation, ``P``
-    the pairs bred; redraws make the pool read its next block early), swap
-    masks from one crossover block and packed flips from one mutation
-    block, so it reads the values README "Determinism and randomness" gives
-    it.  Values drawn past a run's last generation are dropped with its streams.
+    Each stream is read ``BLOCK_GENERATIONS`` generations per block, and each
+    generation takes the next values in draw order, so it reads the values
+    README "Determinism and randomness" gives it.  The rank pool reads
+    ``2 * P`` doubles per generation, its next block early on redraws;
+    crossover and mutation read nothing past the generation cap.
     """
-
-    def __init__(self, streams: RngStreams, cfg: GAConfig, genome_shape: tuple[int, int]):
-        shape = ((cfg.n_pop - cfg.elitism + 1) // 2, *genome_shape)  # (P, slots, components)
-        size = 2 * shape[0] * min(BLOCK_GENERATIONS, max(cfg.max_generations - 1, 1))
-        # with no pairs to breed (elitism == n_pop) a block is empty, which ends the pool
-        pool = chain.from_iterable(iter(lambda: _ranks(streams.selection, cfg.n_pop, size), []))
-        self.ranks = lambda k: list(islice(pool, k))  # the next k parent ranks
-        # breeding(): the next generation's swap masks and packed flips
-        self.breeding = _breeding_blocks(streams, cfg, shape).__next__
-
-
-def _breeding_blocks(streams: RngStreams, cfg: GAConfig, shape: tuple[int, int, int]):
-    """Yield each generation's swap masks ``(P, slots, components)`` and
-    packed flips ``(P, 2, slots, components)``, or None at a zero rate, for
-    the ``max_generations - 1`` generations a run can breed."""
     masks = _segment_masks(cfg.codec.depth)
-    n_pairs, *chromosome = shape
+    n_pairs = (cfg.n_pop - cfg.elitism + 1) // 2
+    shape = (n_pairs, *genome_shape)
+    # with no pairs to breed (elitism == n_pop) a block is empty and the walk takes nothing
+    ranks = _ranks(streams.selection, cfg.n_pop,
+                   2 * n_pairs * min(BLOCK_GENERATIONS, max(cfg.max_generations - 1, 1)))
+    bound = _flip_bound(cfg.mutation_rate) if cfg.mutation_rate > 0 else None
     spare = np.empty(0, np.uint32)  # the crossover half a block leaves, for the next
     for bred in range(0, cfg.max_generations - 1, BLOCK_GENERATIONS):
         g = min(BLOCK_GENERATIONS, cfg.max_generations - 1 - bred)
         picks, spare = _below(streams.crossover, len(masks), (g, *shape), spare)
         flips = repeat(None)  # a zero rate draws nothing
-        if cfg.mutation_rate > 0:
-            words = streams.mutation.random_raw((g, n_pairs, 2, *chromosome, cfg.codec.depth))
-            flips = genome_mod.pack(words <= _flip_bound(cfg.mutation_rate))
-        yield from zip(masks.take(picks), flips)
+        if bound is not None:
+            words = streams.mutation.random_raw((g, n_pairs, 2, *genome_shape, cfg.codec.depth))
+            flips = genome_mod.pack(words <= bound)
+        for swaps, flip in zip(masks.take(picks), flips):
+            yield _walk_pairs(n_pairs, ranks), swaps, flip
 
 
 def fitness_fluctuation(fitness: np.ndarray, mean: float) -> float:
@@ -283,7 +272,7 @@ def evaluate(codes: np.ndarray, task: TaskSpec, codec: CodecConfig) -> Populatio
 
 
 def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
-                    draws: Draws) -> Population:
+                    draws: Iterator[tuple]) -> Population:
     """Breed, score, and sort the successor population.
 
     The top ``elitism`` individuals are copied unchanged.  The other
@@ -292,16 +281,13 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     segment per chromosome (so each pair yields kids a and b that conserve
     the parents' genes position by position), flip each gene with
     probability ``mutation_rate``.  Children go pair-major, kid a before
-    kid b; an odd count discards the last kid b.  The ranks, swap masks and
-    flips are the next generation's values of ``draws``; README
+    kid b; an odd count discards the last kid b.  The parent ranks, swap
+    masks and flips are the next item of ``draws`` (:func:`_breeding`); README
     "Determinism and randomness" gives the words they come from and how
     they act on the codes.
     """
+    parents, masks, flips = next(draws)
     codes = pop.genomes
-    n_bred = cfg.n_pop - cfg.elitism
-    n_pairs = (n_bred + 1) // 2
-    parents = _walk_pairs(n_pairs, draws.ranks)
-    masks, flips = draws.breeding()
     kids = codes.take(parents, axis=0)  # (n_pairs, 2, slots, components)
     # swapping a segment flips both kids wherever the parents differ inside it
     swap = kids[:, 0] ^ kids[:, 1]
@@ -309,7 +295,7 @@ def next_generation(pop: Population, cfg: GAConfig, task: TaskSpec,
     kids ^= swap[:, None]
     if flips is not None:
         kids ^= flips
-    kids = kids.reshape(2 * n_pairs, *codes.shape[1:])[:n_bred]
+    kids = kids.reshape(-1, *codes.shape[1:])[: cfg.n_pop - cfg.elitism]
     genomes = np.concatenate([codes[: cfg.elitism], kids]) if cfg.elitism else kids
     return evaluate(genomes, task, cfg.codec)
 
@@ -324,12 +310,12 @@ def run(cfg: GAConfig, task: TaskSpec, seed: int) -> RunRecord:
     generations, so the initial random population is generation 1.  The
     initial genomes, ``(n_pop, task.n_slots, task.n_components, depth)``
     genes of the init stream, are packed once into codes.  Breeding reads
-    the other three streams through one :class:`Draws`.
+    the other three streams through one :func:`_breeding` generator.
     """
     streams = RngStreams.from_seed(seed)
     bits = _bits(streams.init, (cfg.n_pop, task.n_slots, task.n_components, cfg.codec.depth))
     pop = evaluate(genome_mod.pack(bits), task, cfg.codec)
-    draws = Draws(streams, cfg, (task.n_slots, task.n_components))
+    draws = _breeding(streams, cfg, (task.n_slots, task.n_components))
 
     means, flucts, bests = [], [], []
     while True:

@@ -175,7 +175,7 @@ def test_criterion_5_selection_law():
             probs = ga.selection_probabilities(n)
             stream = np.random.PCG64(123)  # the run's walk over the words of seed 123
             draws = 100_000
-            pairs = ga._walk_pairs(draws, lambda k: ga._ranks(stream, n, k))
+            pairs = ga._walk_pairs(draws, ga._ranks(stream, n, 4096))
             counts = np.bincount(pairs[:, 0], minlength=n)
             expected = draws * probs
             sigma = np.sqrt(draws * probs * (1.0 - probs))

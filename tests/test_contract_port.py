@@ -367,14 +367,14 @@ def test_scalar_fitness_matches_population_fitness(task_name):
 
 @pytest.mark.parametrize("n_pop", [2, 3, 11, 101])
 def test_block_draws_leave_the_stream_where_single_draws_do(n_pop):
-    # the run's walk asks for the fewest doubles the remaining pairs still
-    # need, so its ranks and the stream state after them both match draws
+    # the run's walk takes no rank past its last pair, so over one-word
+    # blocks its ranks and the stream state after them both match draws
     # made one at a time
     bounds = rank_bounds(n_pop)
     for seed in range(40):
         for n_pairs in (1, 2, (n_pop + 1) // 2):
             block, single = ga.RngStreams.from_seed(seed).selection, Stream(seed, (1,))
-            ranks = ga._walk_pairs(n_pairs, lambda k: ga._ranks(block, n_pop, k))
+            ranks = ga._walk_pairs(n_pairs, ga._ranks(block, n_pop, 1))
             assert ranks.tolist() == [list(p) for p in draw_pairs(single, bounds, n_pairs)]
             assert block.state["state"]["state"] == single.state
 
@@ -414,7 +414,7 @@ def test_rank_draws_match_the_port_at_every_bound(n_pop):
         k = math.ceil(b * 2**53)  # the first 53-bit value whose double is not below b
         words += [k << 11, (k << 11) - 1]
     want = [min(bisect_right(bounds, (w >> 11) * 2.0**-53), n_pop - 1) for w in words]
-    assert ga._ranks(Words(words), n_pop, len(words)) == want
+    assert list(ga._ranks(Words(words), n_pop, len(words))) == want
 
 
 @pytest.mark.parametrize("size", [12, 993, 9000])

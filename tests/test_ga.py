@@ -1,5 +1,6 @@
 import copy
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.random import PCG64, Generator
 from evogate import ga, genome, tasks
 from evogate.ga import GAConfig, Population, RngStreams
 from evogate.genome import CodecConfig
-from test_contract_port import Stream, nested
+from test_contract_port import Stream, draw_pairs, nested, rank_bounds
 
 CODEC = CodecConfig(depth=15)
 TASK = tasks.deutsch_task()
@@ -21,8 +22,8 @@ def make_config(n_pop=20, **kw):
 
 
 def draws(cfg, seed):
-    """A run's draw source on the streams of ``seed``."""
-    return ga.Draws(RngStreams.from_seed(seed), cfg, (2, 3))
+    """A run's breeding draws on the streams of ``seed``."""
+    return ga._breeding(RngStreams.from_seed(seed), cfg, (2, 3))
 
 
 def port_streams(seed):
@@ -35,9 +36,11 @@ def drawn(shape, draw, dtype):
     return np.array(nested(shape, draw), dtype=dtype).reshape(shape)
 
 
-def walk(n_pop, n_pairs, stream):
-    """The run's parent walk: ``n_pairs`` pairs of ranks from ``stream``'s words."""
-    return ga._walk_pairs(n_pairs, lambda k: ga._ranks(stream, n_pop, k))
+def walk(n_pop, n_pairs, stream, block=4096):
+    """The run's parent walk: ``n_pairs`` pairs of ranks from ``stream``'s
+    words, read ``block`` at a time; one-word blocks leave the stream where
+    one-at-a-time draws do."""
+    return ga._walk_pairs(n_pairs, ga._ranks(stream, n_pop, block))
 
 
 def state(stream):
@@ -123,22 +126,6 @@ def test_rank_bounds_match_clamped_cdf_search(n_pop):
     assert np.array_equal(np.searchsorted(ga._rank_bounds(n_pop), u, side="right"), want)
 
 
-def _reference_pairs(probs, n_pairs, rng):
-    """Parent ranks drawn one double at a time, the way the draw contract reads."""
-    cdf = np.cumsum(probs)
-
-    def draw():
-        return min(int(np.searchsorted(cdf, rng.double(), side="right")), len(cdf) - 1)
-
-    pairs = []
-    for _ in range(n_pairs):
-        first, second = draw(), draw()
-        while second == first:
-            second = draw()
-        pairs.append((first, second))
-    return pairs
-
-
 def _bool_segment_masks(depth):
     """Swap masks of every cut pair 1 <= s <= e <= depth as bool gene rows."""
     rows = []
@@ -162,8 +149,7 @@ def _reference_generation(bits, cfg, streams):
     masks = _bool_segment_masks(cfg.codec.depth)
     children = list(bits[: cfg.elitism])
     n_pairs = (cfg.n_pop - cfg.elitism + 1) // 2
-    probs = ga.selection_probabilities(cfg.n_pop)
-    for first, second in _reference_pairs(probs, n_pairs, streams.selection):
+    for first, second in draw_pairs(streams.selection, rank_bounds(cfg.n_pop), n_pairs):
         a, b = bits[first], bits[second]
         swap = masks[drawn(a.shape[:-1], lambda: streams.crossover.below(len(masks)), np.intp)]
         kids = [np.where(swap, b, a), np.where(swap, a, b)]
@@ -183,20 +169,13 @@ def _reference_evaluate(bits):
 
 @pytest.mark.parametrize("n_pop", [2, 3, 10, 11, 100, 400, 401])
 def test_select_parents_matches_per_pair_reference(n_pop):
-    probs = ga.selection_probabilities(n_pop)
+    bounds = rank_bounds(n_pop)
     for n_pairs in (0, 1, 2, 5, 37, 200):
         stream, ref = PCG64(n_pop), Stream(n_pop)
         for _ in range(3):
-            pairs = walk(n_pop, n_pairs, stream)
-            assert pairs.tolist() == [list(p) for p in _reference_pairs(probs, n_pairs, ref)]
+            pairs = walk(n_pop, n_pairs, stream, block=1)
+            assert pairs.tolist() == [list(p) for p in draw_pairs(ref, bounds, n_pairs)]
             assert state(stream) == state(ref)
-
-
-def _reference_ranks(n_pop, n_ranks, rng):
-    """Ranks of ``n_ranks`` single double draws."""
-    cdf = np.cumsum(ga.selection_probabilities(n_pop))
-    return [min(int(np.searchsorted(cdf, rng.double(), side="right")), n_pop - 1)
-            for _ in range(n_ranks)]
 
 
 def _reference_breeding(cfg, streams):
@@ -215,15 +194,15 @@ def _reference_breeding(cfg, streams):
 @pytest.mark.parametrize("n_pop", [2, 3, 10, 11, 100, 101])
 @pytest.mark.parametrize("mutation_rate", [0.0, 0.01, 1.0])
 def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
-    # 20 generations cross two draw blocks; then the draw source's next
-    # values must be the reference streams' next values, so every
-    # generation took exactly the draws of the per-generation calls
+    # 20 generations cross two draw blocks; then the draws' next generation
+    # must be the reference streams' next values, so every generation took
+    # exactly the draws of the per-generation calls
     for elitism in sorted({0, 1, n_pop - 1, n_pop}):
         cfg = make_config(n_pop=n_pop, mutation_rate=mutation_rate, elitism=elitism)
         bits, _ = _reference_evaluate(random_bits(n_pop, seed=n_pop + elitism))
         pop = ga.evaluate(genome.pack(bits), TASK, CODEC)
         streams, ref = RngStreams.from_seed(elitism), port_streams(elitism)
-        source = ga.Draws(streams, cfg, (2, 3))
+        source = ga._breeding(streams, cfg, (2, 3))
         for _ in range(20):
             nxt = ga.next_generation(pop, cfg, TASK, source)
             bits, want_fitness = _reference_evaluate(_reference_generation(bits, cfg, ref))
@@ -231,13 +210,15 @@ def test_next_generation_matches_per_pair_reference(n_pop, mutation_rate):
             assert np.array_equal(nxt.fitness, want_fitness)
             pop = nxt
         n_pairs = (n_pop - elitism + 1) // 2
-        n_ranks = 2 * n_pairs + 3 if n_pairs else 0  # no pairs, no ranks drawn
-        assert source.ranks(n_ranks) == _reference_ranks(n_pop, n_ranks, ref.selection)
-        (swaps, flips), (want_swaps, want_flips) = source.breeding(), _reference_breeding(cfg, ref)
+        want_parents = draw_pairs(ref.selection, rank_bounds(n_pop), n_pairs)
+        (parents, swaps, flips), (want_swaps, want_flips) = next(source), _reference_breeding(cfg, ref)
+        assert parents.tolist() == [list(p) for p in want_parents]
         assert np.array_equal(swaps, want_swaps)
         assert (flips is None) if want_flips is None else np.array_equal(flips, want_flips)
         if mutation_rate == 0:  # a zero rate draws nothing
             assert streams.mutation.state == RngStreams.from_seed(elitism).mutation.state
+        if elitism == n_pop:  # with no pairs to breed, no selection word is read
+            assert streams.selection.state == RngStreams.from_seed(elitism).selection.state
 
 
 @pytest.mark.parametrize("cap", [1, 2, 8, 9, 11])
@@ -247,13 +228,14 @@ def test_draws_stop_at_the_generation_cap(cap):
     # no more is drawn
     cfg = make_config(n_pop=11, mutation_rate=0.01, elitism=2, max_generations=cap)
     streams, ref = RngStreams.from_seed(cap), port_streams(cap)
-    source = ga.Draws(streams, cfg, (2, 3))
+    source = ga._breeding(streams, cfg, (2, 3))
     for _ in range(cap - 1):
-        swaps, flips = source.breeding()
+        parents, swaps, flips = next(source)
         want_swaps, want_flips = _reference_breeding(cfg, ref)
+        assert parents.tolist() == [list(p) for p in draw_pairs(ref.selection, rank_bounds(11), 5)]
         assert np.array_equal(swaps, want_swaps) and np.array_equal(flips, want_flips)
     with pytest.raises(StopIteration):
-        source.breeding()
+        next(source)
     for label in ("crossover", "mutation"):
         assert state(getattr(streams, label)) == state(getattr(ref, label))
 
@@ -263,8 +245,8 @@ def test_draws_stop_at_the_generation_cap(cap):
 @pytest.mark.parametrize("n", [depth * (depth + 1) // 2 for depth in range(1, 53)]
                          + [3 * 2**30, 2**31 + 1])
 def test_block_draws_equal_per_generation_calls(n):
-    # Draws reads G generations of values per block: a (G, ...) block must
-    # equal G per-generation calls, rejections and the carried half included
+    # a run's draws read G generations of values per block: a (G, ...) block
+    # must equal G per-generation calls, rejections and the carried half included
     for shape in ((5, 1, 3), (6, 2, 3)):  # odd and even sizes per generation
         for generations in (ga.BLOCK_GENERATIONS, 3):
             block, single = PCG64(n), PCG64(n)
@@ -276,8 +258,8 @@ def test_block_draws_equal_per_generation_calls(n):
             assert np.array_equal(ints, np.stack(calls))
             assert spare.tolist() == single_spare.tolist()
             size = math.prod(shape)
-            assert (ga._ranks(block, 11, generations * size)
-                    == [r for _ in range(generations) for r in ga._ranks(single, 11, size)])
+            assert (list(islice(ga._ranks(block, 11, generations * size), generations * size))
+                    == list(islice(ga._ranks(single, 11, size), generations * size)))
             assert block.state == single.state
             assert np.array_equal(ga._below(block, n, (7,), spare)[0],
                                   ga._below(single, n, (7,), single_spare)[0])
@@ -306,7 +288,7 @@ def _bred(genomes, cfg, seed, monkeypatch):
     streams = RngStreams.from_seed(seed)
     pairs = walk(cfg.n_pop, (cfg.n_pop + 1) // 2, copy.deepcopy(streams.selection))
     pop = Population(genome.pack(genomes), np.zeros(len(genomes)))
-    nxt = ga.next_generation(pop, cfg, TASK, ga.Draws(streams, cfg, genomes.shape[1:3]))
+    nxt = ga.next_generation(pop, cfg, TASK, ga._breeding(streams, cfg, genomes.shape[1:3]))
     return bits_of(nxt.genomes, cfg.codec.depth), pairs, streams
 
 
@@ -360,7 +342,7 @@ def test_mutate_zero_rate_is_identity():
     pop = ga.evaluate(random_codes(9, seed=8), TASK, CODEC)
     streams = RngStreams.from_seed(0)
     before = streams.mutation.state
-    ga.next_generation(pop, cfg, TASK, ga.Draws(streams, cfg, (2, 3)))
+    ga.next_generation(pop, cfg, TASK, ga._breeding(streams, cfg, (2, 3)))
     assert streams.mutation.state == before
 
 
